@@ -1,0 +1,8 @@
+import sys
+from pathlib import Path
+
+# the benchmark's modules and the checkout's src/, as run.py arranges them
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent, HERE.parent.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
