@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DimensionError, SequenceError
-from .numerics import Graph, Node, Tensor, derive_seed
+from .numerics import Graph, Init, Node, Tensor, seeded_init
 
 MEDIA_LEN_DEFAULT = 16  # learnable tokens inserted per image
 
@@ -206,13 +206,15 @@ class GatedXAttn:
         r_xf: float,
         seed: int,
         prefix: str = "xattn",
+        init: Init | None = None,
     ):
+        init = init or seeded_init(seed)
         a, f = branch_widths(h_llm, r_xc, r_xf)
         self.attn_width = a
         self.ffn_width = f
 
         def w(name: str, shape: tuple[int, int], std: float) -> Tensor:
-            return Tensor.randn(shape, derive_seed(seed, f"{prefix}.{name}"), std)
+            return init(shape, f"{prefix}.{name}", std)
 
         self.params: dict[str, Tensor] = {
             "wq": w("wq", (h_llm, a), h_llm**-0.5),

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import ConfigError, ContractViolationError, DimensionError, SequenceError
+from .errors import ConfigError, ContractViolationError, DimensionError, NonFiniteError, SequenceError
 from .fusion import (
     GatedXAttn,
     ImageMarker,
@@ -22,7 +22,7 @@ from .fusion import (
     insert_media_tokens,
 )
 from .moe import DenseFFN, ExpertBank, MoEConfig, RoutingStats, aux_loss_node, moe_forward_nodes, upcycle
-from .numerics import Graph, Node, Tensor, derive_seed
+from .numerics import Graph, Init, Node, Tensor, derive_seed, seeded_init, zeros_init
 from .vision import EncoderConfig, VisionEncoder, assign_taps_to_xattn
 
 ALL_GROUPS = (
@@ -72,6 +72,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.llm_layers < self.encoder.num_taps:
             raise ConfigError("llm_layers must be >= encoder.num_taps")
+        if min(self.h_llm, self.heads, self.ffn_mult, self.max_seq) < 1:
+            raise ConfigError("h_llm, heads, ffn_mult and max_seq must be >= 1")
         if self.h_llm % self.heads != 0:
             raise ConfigError(f"heads={self.heads} must divide h_llm={self.h_llm}")
         for name in ("r_xc", "r_xf"):
@@ -99,13 +101,17 @@ def next_token_targets(seq: InterleavedSequence) -> tuple[list[int], list[bool]]
 
 
 class FusedModel:
-    """Owns every parameter tensor, grouped for stage-wise freezing."""
+    """Owns every parameter tensor, grouped for stage-wise freezing.
 
-    def __init__(self, cfg: ModelConfig, seed: int):
+    Random parameters come from `init` (default: seeded Gaussian draws keyed
+    by parameter name)."""
+
+    def __init__(self, cfg: ModelConfig, seed: int, init: Init | None = None):
+        init = init or seeded_init(seed)
         self.cfg = cfg
         self.seed = seed
         h, v = cfg.h_llm, cfg.vocab
-        self.vision = VisionEncoder(cfg.encoder, seed, prefix="vision")
+        self.vision = VisionEncoder(cfg.encoder, seed, prefix="vision", init=init)
         self.tap_assignment = assign_taps_to_xattn(cfg.encoder.num_taps, cfg.llm_layers)
 
         params: dict[str, Tensor] = {}
@@ -130,32 +136,32 @@ class FusedModel:
             reg(f"vision.{name}", t, group)
 
         # shared media-token table, one row per slot, reused for every image
-        reg("media.table", Tensor.randn((cfg.media_len, h), derive_seed(seed, "media.table"), h**-0.5), "media_tokens")
+        reg("media.table", init((cfg.media_len, h), "media.table", h**-0.5), "media_tokens")
 
         # decoder
-        reg("llm.tok_emb", Tensor.randn((v, h), derive_seed(seed, "llm.tok_emb"), h**-0.5), "llm")
-        reg("llm.pos_emb", Tensor.randn((cfg.max_seq, h), derive_seed(seed, "llm.pos_emb"), h**-0.5), "llm")
+        reg("llm.tok_emb", init((v, h), "llm.tok_emb", h**-0.5), "llm")
+        reg("llm.pos_emb", init((cfg.max_seq, h), "llm.pos_emb", h**-0.5), "llm")
         fh = cfg.ffn_mult * h
         for t in range(cfg.llm_layers):
             b = f"llm.block{t}."
             for w in ("wq", "wk", "wv", "wo"):
-                reg(b + w, Tensor.randn((h, h), derive_seed(seed, b + w), h**-0.5), "llm")
+                reg(b + w, init((h, h), b + w, h**-0.5), "llm")
             reg(b + "ln1.gain", Tensor.full((1, h), 1.0), "llm")
             reg(b + "ln1.bias", Tensor.zeros(1, h), "llm")
             reg(b + "ln2.gain", Tensor.full((1, h), 1.0), "llm")
             reg(b + "ln2.bias", Tensor.zeros(1, h), "llm")
-            reg(b + "w_in", Tensor.randn((h, fh), derive_seed(seed, b + "w_in"), h**-0.5), "llm")
-            reg(b + "w_out", Tensor.randn((fh, h), derive_seed(seed, b + "w_out"), fh**-0.5), "llm")
+            reg(b + "w_in", init((h, fh), b + "w_in", h**-0.5), "llm")
+            reg(b + "w_out", init((fh, h), b + "w_out", fh**-0.5), "llm")
         reg("llm.ln_f.gain", Tensor.full((1, h), 1.0), "llm")
         reg("llm.ln_f.bias", Tensor.zeros(1, h), "llm")
-        reg("llm.head", Tensor.randn((h, v), derive_seed(seed, "llm.head"), h**-0.5), "llm")
+        reg("llm.head", init((h, v), "llm.head", h**-0.5), "llm")
 
         # one gated cross-attention layer before every decoder layer
         self.xattn_layers: list[GatedXAttn] = []
         self.banks: list[ExpertBank] | None = [] if cfg.moe is not None else None
         for t in range(cfg.llm_layers):
             layer = GatedXAttn(
-                h, cfg.encoder.feature_dim, cfg.r_xc, cfg.r_xf, seed, prefix=f"xattn.{t}"
+                h, cfg.encoder.feature_dim, cfg.r_xc, cfg.r_xf, seed, prefix=f"xattn.{t}", init=init
             )
             self.xattn_layers.append(layer)
             prefix = f"xattn.{t}."
@@ -212,16 +218,21 @@ class FusedModel:
         """Frozen-vision fast path: encode once outside any training graph."""
         return [self.vision.encode(p).taps for p in images]
 
-    def _embed_stream(self, g: Graph, seq: InterleavedSequence, nodes: Mapping[str, Node]) -> Node:
+    def _check_stream(self, seq: InterleavedSequence) -> None:
+        """The input checks every forward applies to its stream."""
         n = len(seq)
         if n == 0:
             raise SequenceError("empty sequence")
         if n > self.cfg.max_seq:
             raise DimensionError(f"sequence length {n} exceeds max_seq {self.cfg.max_seq}")
+        if any(isinstance(e, Text) and not 0 <= e.token < self.cfg.vocab for e in seq.elements):
+            raise SequenceError("token id outside vocabulary")
+
+    def _embed_stream(self, g: Graph, seq: InterleavedSequence, nodes: Mapping[str, Node]) -> Node:
+        self._check_stream(seq)
+        n = len(seq)
         text_ids = [e.token for e in seq.elements if isinstance(e, Text)]
         slot_ids = [e.slot for e in seq.elements if isinstance(e, MediaSlot)]
-        if any(not 0 <= t < self.cfg.vocab for t in text_ids):
-            raise SequenceError("token id outside vocabulary")
         parts: list[Node] = []
         if text_ids:
             parts.append(g.row_select(nodes["llm.tok_emb"], text_ids))
@@ -474,6 +485,8 @@ def train_smoke(
     The dataset is generated in-process from the seed. When the stage freezes
     the whole visual encoder, image taps are encoded once up front.
     """
+    if steps < 0:
+        raise ConfigError(f"steps must be >= 0, got {steps}")
     if classes < 1 or per_class < 1:
         raise ConfigError("classes and per_class must be >= 1")
     if cfg.vocab < TOK_CLASS_BASE + classes:
@@ -504,13 +517,35 @@ def loss_probe(
     model: FusedModel, patches: Tensor, candidates: Sequence[Sequence[int]]
 ) -> tuple[int, list[float]]:
     """Index of the candidate caption with the lowest loss (ties -> lowest
-    index) plus the per-candidate losses."""
+    index) plus the per-candidate losses, each equal to `model.loss` on that
+    candidate's stream.
+
+    One call registers the parameters in one graph, encodes the image once
+    and runs one decoder forward per distinct context, the stream minus its
+    final element; every candidate with that context is scored on the same
+    logits. Sharing is exact: the final position is never a loss target, and
+    no other row reads it (self-attention is causal; cross-attention, the
+    FFN or MoE and the norms act row by row; a masked attention weight is
+    exactly 0.0), so the scored rows are bit-identical to a forward over each
+    candidate's own stream. Each candidate passes the same input checks, and
+    raises the same error, as it would in `model.loss`.
+    """
     if not candidates:
         raise ConfigError("loss_probe needs at least one candidate")
+    g = Graph()
+    nodes = model.param_nodes(g)
+    taps = model.encode_images(g, [patches], nodes)
+    logits_by_context: dict[tuple, Node] = {}
     losses = []
     for tokens in candidates:
         seq = insert_media_tokens([ImageMarker(0), *tokens], media_len=model.cfg.media_len)
-        losses.append(model.loss(seq, [patches]))
+        context = tuple(seq.elements[:-1])
+        logits = logits_by_context.get(context)
+        if logits is None:
+            logits = logits_by_context[context] = model.forward_nodes(g, seq, taps, nodes)
+        else:
+            model._check_stream(seq)
+        losses.append(model.loss_nodes(g, logits, seq).t.item())
     best = min(range(len(losses)), key=lambda i: (losses[i], i))
     return best, losses
 
@@ -553,7 +588,7 @@ def _config_pairs(cfg: ModelConfig) -> list[tuple[str, str]]:
 
 def _config_from_pairs(kv: dict[str, str]) -> ModelConfig:
     moe = None
-    if kv.get("moe.enabled") == "1":
+    if kv["moe.enabled"] == "1":
         moe = MoEConfig(
             n_replicas=int(kv["moe.n_replicas"]),
             segments=int(kv["moe.segments"]),
@@ -601,6 +636,11 @@ def save_checkpoint(model: FusedModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> FusedModel:
+    """Rebuild a model from a save_checkpoint manifest. Every parameter comes
+    from the file, so no random init is drawn. A malformed file (missing or
+    unknown config keys or parameters, a data line whose value count does not
+    match the shape, non-finite values, no final `end` line) raises
+    ConfigError."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
@@ -613,25 +653,41 @@ def load_checkpoint(path: str) -> FusedModel:
         key, _, value = rest.partition("=")
         (kv if kind == "config" else meta)[key] = value
         i += 1
-    model = FusedModel(_config_from_pairs(kv), seed=0)
+    try:
+        cfg = _config_from_pairs(kv)
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint config is missing {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad checkpoint config value: {exc}") from exc
+    unknown = set(kv) - {key for key, _ in _config_pairs(cfg)}
+    if unknown:
+        raise ConfigError(f"unknown checkpoint config keys {sorted(unknown)}")
+    model = FusedModel(cfg, seed=0, init=zeros_init)
     model.meta = meta
     seen: set[str] = set()
     while i < len(lines) and lines[i] != "end":
         head = lines[i].split()
-        if head[0] != "param" or len(head) < 4:
+        if len(head) < 4 or head[0] != "param" or i + 1 == len(lines):
             raise ConfigError(f"malformed checkpoint line: {lines[i]!r}")
         _, group, name, *shape = head
-        data = [float(v) for v in lines[i + 1].split()]
         if name not in model.params:
             raise ConfigError(f"checkpoint has unknown parameter {name}")
+        if name in seen:
+            raise ConfigError(f"checkpoint repeats parameter {name}")
         expect = model.params[name]
-        if tuple(int(s) for s in shape) != expect.shape:
+        if shape != [str(s) for s in expect.shape]:
             raise ConfigError(f"shape mismatch for {name}")
         if model.group_of[name] != group:
             raise ConfigError(f"group mismatch for {name}")
-        expect.data[:] = data
+        try:
+            # Tensor() checks the value count against the shape and finiteness
+            expect.data = Tensor(expect.shape, list(map(float, lines[i + 1].split()))).data
+        except (ValueError, DimensionError, NonFiniteError) as exc:
+            raise ConfigError(f"bad data for {name}: {exc}") from exc
         seen.add(name)
         i += 2
+    if lines[i:] != ["end"]:
+        raise ConfigError(f"{path} does not end with a single 'end' line")
     if seen != set(model.params):
         missing = sorted(set(model.params) - seen)
         raise ConfigError(f"checkpoint missing parameters, e.g. {missing[:3]}")

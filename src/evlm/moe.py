@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import ConfigError, DimensionError
-from .numerics import Graph, Node, Tensor, derive_seed
+from .numerics import Graph, Node, Tensor, seeded_init
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,10 @@ class DenseFFN:
 
     @classmethod
     def init(cls, h: int, hidden: int, seed: int, prefix: str = "ffn") -> "DenseFFN":
+        init = seeded_init(seed)
         return cls(
-            Tensor.randn((h, hidden), derive_seed(seed, f"{prefix}.w_in"), h**-0.5),
-            Tensor.randn((hidden, h), derive_seed(seed, f"{prefix}.w_out"), hidden**-0.5),
+            init((h, hidden), f"{prefix}.w_in", h**-0.5),
+            init((hidden, h), f"{prefix}.w_out", hidden**-0.5),
         )
 
     @property

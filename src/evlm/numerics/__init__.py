@@ -6,6 +6,6 @@ math runtime. Gradient-check tolerances dominate the design, not throughput.
 
 from .gradcheck import grad_check
 from .graph import Graph, Node
-from .tensor import Tensor, derive_seed
+from .tensor import Init, Tensor, derive_seed, seeded_init, zeros_init
 
-__all__ = ["Graph", "Node", "Tensor", "derive_seed", "grad_check"]
+__all__ = ["Graph", "Init", "Node", "Tensor", "derive_seed", "grad_check", "seeded_init", "zeros_init"]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import random
 from math import isfinite
+from typing import Callable
 
 from ..errors import DimensionError, NonFiniteError
 
@@ -123,3 +124,19 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
+
+
+# Parameter factory: (shape, parameter name, init std) -> tensor. Models build
+# every randomly initialized parameter through one, so a caller that is about
+# to overwrite all parameters (a checkpoint load) can skip the draws.
+Init = Callable[[Shape, str, float], Tensor]
+
+
+def seeded_init(seed: int) -> Init:
+    """Gaussian init with a per-parameter seed derived from the name."""
+    return lambda shape, name, std: Tensor.randn(shape, derive_seed(seed, name), std)
+
+
+def zeros_init(shape: Shape, name: str, std: float) -> Tensor:
+    """Draws nothing: zero placeholders for parameters about to be overwritten."""
+    return Tensor.zeros(*shape)

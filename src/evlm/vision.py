@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigError, DimensionError
-from .numerics import Graph, Node, Tensor, derive_seed
+from .numerics import Graph, Init, Node, Tensor, seeded_init
 
 FFN_MULT = 4  # hidden width of each block's FFN relative to feature_dim
 
@@ -68,7 +68,8 @@ class VisionEncoder:
     """Stack of pre-norm transformer blocks (single-head attention, gelu FFN),
     parameterized by plain tensors so callers control gradient flow."""
 
-    def __init__(self, cfg: EncoderConfig, seed: int, prefix: str = "vision"):
+    def __init__(self, cfg: EncoderConfig, seed: int, prefix: str = "vision", init: Init | None = None):
+        init = init or seeded_init(seed)
         self.cfg = cfg
         self.prefix = prefix
         d = cfg.feature_dim
@@ -77,13 +78,13 @@ class VisionEncoder:
         for i in range(cfg.layers):
             b = f"block{i}."
             for name in ("wq", "wk", "wv", "wo"):
-                p[b + name] = Tensor.randn((d, d), derive_seed(seed, f"{prefix}.{b}{name}"), d**-0.5)
+                p[b + name] = init((d, d), f"{prefix}.{b}{name}", d**-0.5)
             p[b + "ln1.gain"] = Tensor.full((1, d), 1.0)
             p[b + "ln1.bias"] = Tensor.zeros(1, d)
             p[b + "ln2.gain"] = Tensor.full((1, d), 1.0)
             p[b + "ln2.bias"] = Tensor.zeros(1, d)
-            p[b + "w_in"] = Tensor.randn((d, hdim), derive_seed(seed, f"{prefix}.{b}w_in"), d**-0.5)
-            p[b + "w_out"] = Tensor.randn((hdim, d), derive_seed(seed, f"{prefix}.{b}w_out"), hdim**-0.5)
+            p[b + "w_in"] = init((d, hdim), f"{prefix}.{b}w_in", d**-0.5)
+            p[b + "w_out"] = init((hdim, d), f"{prefix}.{b}w_out", hdim**-0.5)
         self.params = p
         self.schedule = tap_schedule(cfg.layers, cfg.tap_window, cfg.num_taps)
 

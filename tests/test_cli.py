@@ -200,6 +200,26 @@ def test_probe_error_paths(tiny_run):
     assert run_cli("probe", "--checkpoint", str(ckpt), "--image", "0", "--candidates", "").returncode == 2
 
 
+def test_probe_rejects_truncated_parameter_data(tiny_run, tmp_path):
+    _, ckpt, _ = tiny_run
+    lines = ckpt.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("param llm llm.head ")) + 1
+    values = lines[i].split()
+    lines[i] = " ".join(values[: len(values) // 2])
+    bad = tmp_path / "short.ckpt"
+    bad.write_text("\n".join(lines) + "\n")
+    out = run_cli("probe", "--checkpoint", str(bad), "--image", "0", "--candidates", "0")
+    assert out.returncode == 2 and out.stdout == ""
+    assert "llm.head" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_train_smoke_negative_steps_rejected(tiny_run, tmp_path):
+    cfg, _, _ = tiny_run
+    out = run_cli("train-smoke", "--config", str(cfg), "--steps", "-3", "--out", str(tmp_path / "neg.ckpt"))
+    assert out.returncode == 2
+    assert not (tmp_path / "neg.ckpt").exists()
+
+
 # -- upcycle-check --------------------------------------------------------------------
 
 

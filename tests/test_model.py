@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from evlm.errors import ConfigError, ContractViolationError
+from evlm.errors import ConfigError, ContractViolationError, SequenceError
 from evlm.fusion import ImageMarker, build_cross_mask_image, insert_media_tokens
 from evlm.model import (
     FusedModel,
@@ -222,6 +222,17 @@ def test_freeze_stage_tables():
         freeze_stage("warmup")
 
 
+def open_model(cfg, seed):
+    """Gates open and routers randomized, so every group reaches the loss."""
+    model = FusedModel(cfg, seed=seed)
+    for name, t in model.params.items():
+        if name.endswith(("alpha_attn", "alpha_ffn")):
+            t.data[0] = 0.5
+        if name.endswith("moe.router"):
+            t.data[:] = Tensor.randn(t.shape, derive_seed(seed + 1, name), 0.5).data
+    return model
+
+
 def freeze_test_model():
     cfg = tiny_config(
         llm_layers=2,
@@ -230,14 +241,7 @@ def freeze_test_model():
         vocab=11,
         max_seq=24,
     )
-    model = FusedModel(cfg, seed=10)
-    # open the gates and randomize routers so every group receives gradient
-    for name, t in model.params.items():
-        if name.endswith(("alpha_attn", "alpha_ffn")):
-            t.data[0] = 0.5
-        if name.endswith("moe.router"):
-            t.data[:] = Tensor.randn(t.shape, derive_seed(11, name), 0.5).data
-    return model
+    return open_model(cfg, seed=10)
 
 
 def test_groups_partition_all_parameters():
@@ -361,6 +365,43 @@ def test_probe_gate_zero_is_image_independent():
     assert a == b  # pure text prior before any training
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"mask_mode": "video"}, {"moe": MoEConfig(n_replicas=2, segments=2, top_k=2)}],
+    ids=["image", "video", "moe"],
+)
+def test_probe_losses_equal_per_candidate_loss(monkeypatch, overrides):
+    # one forward per shared context must score every candidate bit-exactly
+    model = open_model(tiny_config(**overrides), seed=6)
+    patches = rand_images(model, 1, 7)[0]
+    rng = random.Random(8)
+    # a small alphabet and mixed lengths, so contexts are shared in groups
+    candidates = [[rng.randrange(3) for _ in range(rng.randint(1, 4))] for _ in range(30)]
+    seqs = [insert_media_tokens([ImageMarker(0), *c], media_len=model.cfg.media_len) for c in candidates]
+    want = [model.loss(seq, [patches]) for seq in seqs]
+
+    forwards = []
+    forward_nodes = FusedModel.forward_nodes
+
+    def counted(self, g, seq, *args, **kwargs):
+        forwards.append(seq)
+        return forward_nodes(self, g, seq, *args, **kwargs)
+
+    monkeypatch.setattr(FusedModel, "forward_nodes", counted)
+    best, losses = loss_probe(model, patches, candidates)
+    assert losses == want
+    assert best == min(range(len(want)), key=lambda i: (want[i], i))
+    contexts = {tuple(c[:-1]) for c in candidates}
+    assert len(forwards) == len(contexts) < len(candidates)
+
+
+def test_probe_checks_candidates_that_share_a_context():
+    model = FusedModel(tiny_config(), seed=2)
+    patches = rand_images(model, 1, 3)[0]
+    with pytest.raises(SequenceError):  # the out-of-vocabulary token is never embedded
+        loss_probe(model, patches, [[0, 1, 2], [0, 1, model.cfg.vocab]])
+
+
 # -- checkpoints ---------------------------------------------------------------------
 
 
@@ -374,6 +415,51 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     for name, t in model.params.items():
         assert loaded.params[name].data == t.data
         assert loaded.group_of[name] == model.group_of[name]
+
+
+@pytest.mark.parametrize("moe", [None, MoEConfig(n_replicas=2, segments=2, top_k=2)], ids=["dense", "moe"])
+def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch, moe):
+    model = open_model(tiny_config(moe=moe), seed=12)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    seq, images = caption_sequence(model.cfg, 1), rand_images(model, 1, 13)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a random init")
+
+    monkeypatch.setattr(Tensor, "randn", no_draws)
+    loaded = load_checkpoint(str(path))
+    assert loaded.cfg == model.cfg
+    assert {n: t.data for n, t in loaded.params.items()} == {n: t.data for n, t in model.params.items()}
+    assert loaded.loss(seq, images) == model.loss(seq, images)  # no stale copy of a parameter survives
+
+
+def _edit_head_data(edit):
+    def corrupt(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith("param llm llm.head ")) + 1
+        return lines[:i] + [" ".join(edit(lines[i].split()))] + lines[i + 1 :]
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _edit_head_data(lambda values: values[: len(values) // 2]),
+        _edit_head_data(lambda values: ["nan", *values[1:]]),
+        lambda lines: lines[:-1],  # no trailing end line
+        lambda lines: [line for line in lines if not line.startswith("config h_llm=")],
+        lambda lines: [line.replace("config heads=2", "config heads=0") for line in lines],
+    ],
+    ids=["short_data", "nan", "no_end", "missing_config_key", "zero_heads"],
+)
+def test_checkpoint_rejects_malformed(tmp_path, corrupt):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(FusedModel(tiny_config(), seed=1), str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(corrupt(lines)) + "\n")
+    with pytest.raises(ConfigError):
+        load_checkpoint(str(path))
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
