@@ -13,7 +13,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ContractViolationError, EvlmError, NonFiniteError
 from .flops import (
@@ -27,8 +27,11 @@ from .fusion import ImageMarker, build_cross_mask_image, build_cross_mask_video,
 from .model import (
     ModelConfig,
     caption_tokens,
+    config_fields,
+    config_values,
     load_checkpoint,
     loss_probe,
+    parse_flag,
     save_checkpoint,
     smoke_config,
     synthetic_patches,
@@ -61,88 +64,39 @@ class RunConfig:
     per_class: int = 2
 
 
-_ALLOWED_KEYS = {
-    "run": {"seed"},
-    "model": {
-        "llm_layers",
-        "h_llm",
-        "heads",
-        "vocab",
-        "media_len",
-        "r_xc",
-        "r_xf",
-        "mask_mode",
-        "pad_len",
-        "ffn_mult",
-        "max_seq",
-    },
-    "encoder": {"layers", "patch_count", "feature_dim", "tap_window", "num_taps"},
-    "moe": {"enabled", "n_replicas", "segments", "top_k", "use_world_expert", "aux_loss_weight"},
-    "train": {"steps", "lr", "stage", "classes", "per_class"},
-}
-
-
 def load_run_config(path: str) -> RunConfig:
-    """key=value sections mirroring the model/encoder/moe configs; unknown
-    keys are rejected and every dataclass invariant is re-validated."""
+    """Sections [run] (seed), [model], [encoder], [moe] (enabled plus the
+    MoEConfig fields) and [train] (the other RunConfig fields), one key per
+    scalar field of the config dataclasses. A key left out keeps its value in
+    RunConfig(model=smoke_config()), or in MoEConfig() once [moe] is enabled.
+    Unknown sections and keys are rejected and every dataclass invariant is
+    re-validated."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise EvlmError(f"cannot read config file {path!r}")
+    allowed = {
+        "run": {"seed"},
+        "model": set(config_fields(ModelConfig)),
+        "encoder": set(config_fields(EncoderConfig)),
+        "moe": {"enabled", *config_fields(MoEConfig)},
+        "train": set(config_fields(RunConfig)) - {"seed"},
+    }
     for section in parser.sections():
-        if section not in _ALLOWED_KEYS:
+        if section not in allowed:
             raise EvlmError(f"unknown config section [{section}]")
-        unknown = set(parser[section]) - _ALLOWED_KEYS[section]
+        unknown = set(parser[section]) - allowed[section]
         if unknown:
             raise EvlmError(f"unknown keys in [{section}]: {sorted(unknown)}")
+    given = {section: dict(parser[section]) for section in parser.sections()}
+    values = lambda cls, section: config_values(cls, given.get(section, {}), required=False)
 
     base = smoke_config()
-
-    def get(section, key, cast, default):
-        if parser.has_option(section, key):
-            return cast(parser.get(section, key))
-        return default
-
-    encoder = EncoderConfig(
-        layers=get("encoder", "layers", int, base.encoder.layers),
-        patch_count=get("encoder", "patch_count", int, base.encoder.patch_count),
-        feature_dim=get("encoder", "feature_dim", int, base.encoder.feature_dim),
-        tap_window=get("encoder", "tap_window", int, base.encoder.tap_window),
-        num_taps=get("encoder", "num_taps", int, base.encoder.num_taps),
-    )
+    encoder = replace(base.encoder, **values(EncoderConfig, "encoder"))
     moe = None
-    if get("moe", "enabled", lambda v: v.strip() == "1", False):
-        moe = MoEConfig(
-            n_replicas=get("moe", "n_replicas", int, 4),
-            segments=get("moe", "segments", int, 4),
-            top_k=get("moe", "top_k", int, 4),
-            use_world_expert=get("moe", "use_world_expert", lambda v: v.strip() == "1", True),
-            aux_loss_weight=get("moe", "aux_loss_weight", float, 0.0),
-        )
-    model = ModelConfig(
-        llm_layers=get("model", "llm_layers", int, base.llm_layers),
-        h_llm=get("model", "h_llm", int, base.h_llm),
-        heads=get("model", "heads", int, base.heads),
-        vocab=get("model", "vocab", int, base.vocab),
-        media_len=get("model", "media_len", int, base.media_len),
-        r_xc=get("model", "r_xc", float, base.r_xc),
-        r_xf=get("model", "r_xf", float, base.r_xf),
-        moe=moe,
-        encoder=encoder,
-        mask_mode=get("model", "mask_mode", str, base.mask_mode),
-        pad_len=get("model", "pad_len", int, base.pad_len),
-        ffn_mult=get("model", "ffn_mult", int, base.ffn_mult),
-        max_seq=get("model", "max_seq", int, base.max_seq),
-    )
-    return RunConfig(
-        model=model,
-        seed=get("run", "seed", int, 0),
-        steps=get("train", "steps", int, 200),
-        lr=get("train", "lr", float, 0.5),
-        stage=get("train", "stage", str, "pretrain_phase1"),
-        classes=get("train", "classes", int, 4),
-        per_class=get("train", "per_class", int, 2),
-    )
+    if parse_flag(given.get("moe", {}).get("enabled", "0")):
+        moe = MoEConfig(**values(MoEConfig, "moe"))
+    model = replace(base, encoder=encoder, moe=moe, **values(ModelConfig, "model"))
+    return RunConfig(model=model, **values(RunConfig, "run"), **values(RunConfig, "train"))
 
 
 def _resolve_seed(flag_value: int | None, config_value: int) -> int:
@@ -157,7 +111,7 @@ def _resolve_seed(flag_value: int | None, config_value: int) -> int:
 # -- cost ----------------------------------------------------------------------
 
 
-_SCENARIO_KEYS = {"B", "s_img", "s_txt", "h_llm", "d_img", "r_xc", "r_xf", "media_len"}
+_SCENARIO_KEYS = {"B", *config_fields(FlopsScenario)} - {"batch"}  # B is the batch size
 
 
 def cmd_cost(args) -> int:
@@ -173,17 +127,8 @@ def cmd_cost(args) -> int:
         missing = {"B", "s_img", "s_txt", "h_llm", "d_img"} - set(kv)
         if missing:
             raise EvlmError(f"scenario is missing {sorted(missing)}")
-        sc = FlopsScenario(
-            batch=int(kv["B"]),
-            s_img=int(kv["s_img"]),
-            s_txt=int(kv["s_txt"]),
-            h_llm=int(kv["h_llm"]),
-            d_img=int(kv["d_img"]),
-            r_xc=float(kv.get("r_xc", 0.2)),
-            r_xf=float(kv.get("r_xf", 0.5)),
-            media_len=int(kv.get("media_len", 16)),
-        )
-        report = ratio(sc)
+        kv["batch"] = kv.pop("B")
+        report = ratio(FlopsScenario(**config_values(FlopsScenario, kv, required=False)))
     formatter = format_report_record if args.format == "record" else format_report_table
     sys.stdout.write(formatter(report))
     return EXIT_OK
@@ -258,8 +203,6 @@ def cmd_train_smoke(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    if not os.path.exists(args.checkpoint):
-        raise EvlmError(f"checkpoint {args.checkpoint!r} not found")
     model = load_checkpoint(args.checkpoint)
     candidates = [c for c in args.candidates.split(",") if c != ""]
     if not candidates:
@@ -370,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     except ContractViolationError as exc:
         print(f"error: invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (EvlmError, ValueError) as exc:
+    except (EvlmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

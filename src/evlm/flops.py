@@ -11,7 +11,7 @@ print both values and their difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -150,55 +150,27 @@ def _fmt(x: float) -> str:
     return str(int(x)) if x == int(x) else repr(x)
 
 
+def _report_rows(rep: FlopsReport) -> list[tuple[str, str, str]]:
+    """(record key, table label, value) for every reported field, in order."""
+    rows = [("scenario", "scenario", rep.preset_name or "custom")]
+    rows += [(f.name, f.name, _fmt(getattr(rep.scenario, f.name))) for f in fields(rep.scenario)]
+    rows += [(name, name, _fmt(getattr(rep, name))) for name in ("flops_full", "flops_cross")]
+    labels = ("proj+ffn", "stream attn", "visual kv", "visual attn")
+    for i, (label, term) in enumerate(zip(labels, rep.terms), 1):
+        rows.append((f"term{i}", f"  term{i} ({label})", _fmt(term)))
+    rows.append(("S", "S (computed)", repr(rep.ratio)))
+    if rep.reference_ratio is not None:
+        rows.append(("reference_S", "S (reference)", _fmt(rep.reference_ratio)))
+        rows.append(("abs_diff", "|difference|", repr(abs(rep.ratio - rep.reference_ratio))))
+    return rows
+
+
 def format_report_record(rep: FlopsReport) -> str:
     """Line-oriented key=value form, parseable without a serializer."""
-    sc = rep.scenario
-    lines = [
-        f"scenario={rep.preset_name or 'custom'}",
-        f"batch={sc.batch}",
-        f"s_img={sc.s_img}",
-        f"s_txt={sc.s_txt}",
-        f"h_llm={sc.h_llm}",
-        f"d_img={sc.d_img}",
-        f"r_xc={_fmt(sc.r_xc)}",
-        f"r_xf={_fmt(sc.r_xf)}",
-        f"media_len={sc.media_len}",
-        f"flops_full={_fmt(rep.flops_full)}",
-        f"flops_cross={_fmt(rep.flops_cross)}",
-        f"term1={_fmt(rep.terms[0])}",
-        f"term2={_fmt(rep.terms[1])}",
-        f"term3={_fmt(rep.terms[2])}",
-        f"term4={_fmt(rep.terms[3])}",
-        f"S={repr(rep.ratio)}",
-    ]
-    if rep.reference_ratio is not None:
-        lines.append(f"reference_S={_fmt(rep.reference_ratio)}")
-        lines.append(f"abs_diff={repr(abs(rep.ratio - rep.reference_ratio))}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}={value}\n" for key, _, value in _report_rows(rep))
 
 
 def format_report_table(rep: FlopsReport) -> str:
-    sc = rep.scenario
-    rows = [
-        ("scenario", rep.preset_name or "custom"),
-        ("batch", str(sc.batch)),
-        ("s_img", str(sc.s_img)),
-        ("s_txt", str(sc.s_txt)),
-        ("h_llm", str(sc.h_llm)),
-        ("d_img", str(sc.d_img)),
-        ("r_xc", _fmt(sc.r_xc)),
-        ("r_xf", _fmt(sc.r_xf)),
-        ("media_len", str(sc.media_len)),
-        ("flops_full", _fmt(rep.flops_full)),
-        ("flops_cross", _fmt(rep.flops_cross)),
-        ("  term1 (proj+ffn)", _fmt(rep.terms[0])),
-        ("  term2 (stream attn)", _fmt(rep.terms[1])),
-        ("  term3 (visual kv)", _fmt(rep.terms[2])),
-        ("  term4 (visual attn)", _fmt(rep.terms[3])),
-        ("S (computed)", repr(rep.ratio)),
-    ]
-    if rep.reference_ratio is not None:
-        rows.append(("S (reference)", _fmt(rep.reference_ratio)))
-        rows.append(("|difference|", repr(abs(rep.ratio - rep.reference_ratio))))
-    width = max(len(k) for k, _ in rows)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows) + "\n"
+    rows = _report_rows(rep)
+    width = max(len(label) for _, label, _ in rows)
+    return "".join(f"{label.ljust(width)}  {value}\n" for _, label, value in rows)

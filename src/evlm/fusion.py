@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DimensionError, SequenceError
+from .layers import ffn
 from .numerics import Graph, Init, Node, Tensor, seeded_init
 
 MEDIA_LEN_DEFAULT = 16  # learnable tokens inserted per image
@@ -227,13 +228,8 @@ class GatedXAttn:
             "alpha_ffn": Tensor.zeros(1, 1),
         }
 
-    def dense_ffn_branch(
-        self, g: Graph, nodes: Mapping[str, Node]
-    ) -> Callable[[Node], Node]:
-        def branch(h: Node) -> Node:
-            return g.matmul(g.gelu(g.matmul(h, nodes["ffn.w_in"])), nodes["ffn.w_out"])
-
-        return branch
+    def dense_ffn_branch(self, g: Graph, nodes: Mapping[str, Node]) -> Callable[[Node], Node]:
+        return lambda h: ffn(g, h, nodes["ffn.w_in"], nodes["ffn.w_out"])
 
     def forward_nodes(
         self,

@@ -1,0 +1,46 @@
+"""The pre-norm transformer block and the gelu FFN shared by the vision
+encoder, the decoder, the gated cross-attention layer and the MoE experts."""
+
+from __future__ import annotations
+
+from typing import Mapping
+
+from .numerics import Graph, Init, Node, Tensor
+
+
+def ffn(g: Graph, x: Node, w_in: Node, w_out: Node) -> Node:
+    """Bias-free two-matrix FFN: expand, exact gelu, contract."""
+    return g.matmul(g.gelu(g.matmul(x, w_in)), w_out)
+
+
+def block_params(init: Init, name: str, d: int, hidden: int) -> dict[str, Tensor]:
+    """One block's parameters by local name; `name` prefixes their init keys."""
+    p = {w: init((d, d), name + w, d**-0.5) for w in ("wq", "wk", "wv", "wo")}
+    for ln in ("ln1", "ln2"):
+        p[ln + ".gain"] = Tensor.full((1, d), 1.0)
+        p[ln + ".bias"] = Tensor.zeros(1, d)
+    p["w_in"] = init((d, hidden), name + "w_in", d**-0.5)
+    p["w_out"] = init((hidden, d), name + "w_out", hidden**-0.5)
+    return p
+
+
+def block(
+    g: Graph, x: Node, nodes: Mapping[str, Node], prefix: str, heads: int, mask: list[list[bool]]
+) -> Node:
+    """x + attention(LN1(x)), then + FFN(LN2(.)), with the block's parameters
+    at nodes[prefix + local name]. With heads > 1, q, k and v are split into
+    equal column slices, each head attends on its own, and the head outputs
+    are concatenated before the output projection."""
+    p = lambda name: nodes[prefix + name]
+    hn = g.layer_norm(x, p("ln1.gain"), p("ln1.bias"))
+    q, k, v = (g.matmul(hn, p(w)) for w in ("wq", "wk", "wv"))
+    hd = q.t.cols // heads
+    heads_out = []
+    for head in range(heads):
+        lo, hi = head * hd, (head + 1) * hd
+        qh, kh, vh = (q, k, v) if heads == 1 else (g.col_slice(m, lo, hi) for m in (q, k, v))
+        probs = g.softmax_masked(g.scale(g.matmul(qh, g.transpose(kh)), hd**-0.5), mask)
+        heads_out.append(g.matmul(probs, vh))
+    merged = heads_out[0] if heads == 1 else g.concat_cols(heads_out)
+    x = g.add(x, g.matmul(merged, p("wo")))
+    return g.add(x, ffn(g, g.layer_norm(x, p("ln2.gain"), p("ln2.bias")), p("w_in"), p("w_out")))

@@ -4,9 +4,10 @@ training loop, and the loss-argmin classification probe."""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Mapping, Sequence
 
 from .errors import ConfigError, ContractViolationError, DimensionError, NonFiniteError, SequenceError
 from .fusion import (
@@ -21,6 +22,7 @@ from .fusion import (
     build_self_mask,
     insert_media_tokens,
 )
+from .layers import block, block_params
 from .moe import DenseFFN, ExpertBank, MoEConfig, RoutingStats, aux_loss_node, moe_forward_nodes, upcycle
 from .numerics import Graph, Init, Node, Tensor, derive_seed, seeded_init, zeros_init
 from .vision import EncoderConfig, VisionEncoder, assign_taps_to_xattn
@@ -86,6 +88,45 @@ class ModelConfig:
             raise ConfigError("vocab >= 2, media_len >= 1, pad_len >= 1 required")
 
 
+# -- config schema: one text key per scalar field of the config dataclasses --
+
+def parse_flag(text: str) -> bool:
+    return text.strip() == "1"
+
+
+# keyed by annotation text: the config modules use `from __future__ import annotations`
+_PARSERS = {"int": int, "float": float, "str": str, "bool": parse_flag}
+
+
+def config_fields(cls: type) -> dict[str, Callable[[str], Any]]:
+    """The scalar (int, float, str, bool) fields of a config dataclass, in
+    field order, each with the parser of its text form."""
+    return {f.name: _PARSERS[f.type] for f in fields(cls) if f.type in _PARSERS}
+
+
+def config_text(value: Any) -> str:
+    """Text form of a scalar config value: floats by repr, bools as 1 or 0."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def config_items(obj: Any, prefix: str = "") -> list[tuple[str, str]]:
+    return [(prefix + name, config_text(getattr(obj, name))) for name in config_fields(type(obj))]
+
+
+def config_values(
+    cls: type, kv: Mapping[str, str], prefix: str = "", required: bool = True
+) -> dict[str, Any]:
+    """Parsed scalar fields of cls from kv[prefix + name]. A missing key
+    raises KeyError when required and is left out otherwise."""
+    return {
+        name: parse(kv[prefix + name])
+        for name, parse in config_fields(cls).items()
+        if required or prefix + name in kv
+    }
+
+
 def next_token_targets(seq: InterleavedSequence) -> tuple[list[int], list[bool]]:
     """Next-token ids over the stream plus the text-only loss mask: position i
     contributes exactly when the token it predicts (i+1) is a text element."""
@@ -141,17 +182,10 @@ class FusedModel:
         # decoder
         reg("llm.tok_emb", init((v, h), "llm.tok_emb", h**-0.5), "llm")
         reg("llm.pos_emb", init((cfg.max_seq, h), "llm.pos_emb", h**-0.5), "llm")
-        fh = cfg.ffn_mult * h
         for t in range(cfg.llm_layers):
             b = f"llm.block{t}."
-            for w in ("wq", "wk", "wv", "wo"):
-                reg(b + w, init((h, h), b + w, h**-0.5), "llm")
-            reg(b + "ln1.gain", Tensor.full((1, h), 1.0), "llm")
-            reg(b + "ln1.bias", Tensor.zeros(1, h), "llm")
-            reg(b + "ln2.gain", Tensor.full((1, h), 1.0), "llm")
-            reg(b + "ln2.bias", Tensor.zeros(1, h), "llm")
-            reg(b + "w_in", init((h, fh), b + "w_in", h**-0.5), "llm")
-            reg(b + "w_out", init((fh, h), b + "w_out", fh**-0.5), "llm")
+            for name, t_param in block_params(init, b, h, cfg.ffn_mult * h).items():
+                reg(b + name, t_param, "llm")
         reg("llm.ln_f.gain", Tensor.full((1, h), 1.0), "llm")
         reg("llm.ln_f.bias", Tensor.zeros(1, h), "llm")
         reg("llm.head", init((h, v), "llm.head", h**-0.5), "llm")
@@ -255,25 +289,7 @@ class FusedModel:
     def _decoder_block(
         self, g: Graph, x: Node, t: int, self_mask: list[list[bool]], nodes: Mapping[str, Node]
     ) -> Node:
-        cfg = self.cfg
-        b = f"llm.block{t}."
-        h = cfg.h_llm
-        hd = h // cfg.heads
-        hn = g.layer_norm(x, nodes[b + "ln1.gain"], nodes[b + "ln1.bias"])
-        q = g.matmul(hn, nodes[b + "wq"])
-        k = g.matmul(hn, nodes[b + "wk"])
-        v = g.matmul(hn, nodes[b + "wv"])
-        heads_out = []
-        inv = hd**-0.5
-        for head in range(cfg.heads):
-            lo, hi = head * hd, (head + 1) * hd
-            qh, kh, vh = (g.col_slice(m, lo, hi) for m in (q, k, v))
-            probs = g.softmax_masked(g.scale(g.matmul(qh, g.transpose(kh)), inv), self_mask)
-            heads_out.append(g.matmul(probs, vh))
-        merged = heads_out[0] if len(heads_out) == 1 else g.concat_cols(heads_out)
-        x = g.add(x, g.matmul(merged, nodes[b + "wo"]))
-        hn = g.layer_norm(x, nodes[b + "ln2.gain"], nodes[b + "ln2.bias"])
-        return g.add(x, g.matmul(g.gelu(g.matmul(hn, nodes[b + "w_in"])), nodes[b + "w_out"]))
+        return block(g, x, nodes, f"llm.block{t}.", self.cfg.heads, self_mask)
 
     def forward_nodes(
         self,
@@ -318,11 +334,9 @@ class FusedModel:
                                 prob_nodes=[] if bank.cfg.aux_loss_weight > 0 else None,
                             )
                         stats = moe_stats[t]
-                    moe_prefix = f"xattn.{t}.moe"
-
-                    def ffn_branch(h1, _bank=bank, _stats=stats, _prefix=moe_prefix):
-                        return moe_forward_nodes(g, h1, _bank, nodes, prefix=_prefix, stats=_stats)
-
+                    ffn_branch = functools.partial(
+                        moe_forward_nodes, g, bank=bank, nodes=nodes, prefix=prefix + "moe", stats=stats
+                    )
                 x = layer.forward_nodes(g, x, kv_cache[j], cross_mask, lnodes, ffn_branch=ffn_branch)
             x = self._decoder_block(g, x, t, self_mask, nodes)
         x = g.layer_norm(x, nodes["llm.ln_f.gain"], nodes["llm.ln_f.bias"])
@@ -381,10 +395,14 @@ class FusedModel:
         """One full-batch SGD step; returns the pre-step batch loss.
 
         With taps_precomputed, each batch entry carries per-image tap tensor
-        lists (frozen-vision fast path) instead of raw patch tensors.
+        lists (frozen-vision fast path) instead of raw patch tensors. The step
+        is all or nothing: a non-finite lr raises ConfigError and a non-finite
+        updated value raises NonFiniteError, both with no parameter changed.
         """
         if not batch:
             raise ConfigError("empty batch")
+        if not math.isfinite(lr):
+            raise ConfigError(f"lr must be finite, got {lr!r}")
         g = Graph()
         nodes = self.param_nodes(g)
         total: Node | None = None
@@ -412,12 +430,16 @@ class FusedModel:
                 for _, s in sorted(moe_stats.items())
             ]
         g.backward(mean)
+        # every new value is computed and checked before any parameter changes
+        updates = []
         for name, t in self.params.items():
             if trainable_groups.get(self.group_of[name], False):
-                grad = g.grad(nodes[name]).data
-                data = t.data
-                for i, gv in enumerate(grad):
-                    data[i] -= lr * gv
+                new = [v - lr * gv for v, gv in zip(t.data, g.grad(nodes[name]).data)]
+                if not all(map(math.isfinite, new)):
+                    raise NonFiniteError(f"SGD update of {name} is non-finite; no parameter was changed")
+                updates.append((t, new))
+        for t, new in updates:
+            t.data[:] = new
         return mean.t.item()
 
 
@@ -487,6 +509,8 @@ def train_smoke(
     """
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
+    if not math.isfinite(lr):  # checked here too: with steps=0 no step applies lr
+        raise ConfigError(f"lr must be finite, got {lr!r}")
     if classes < 1 or per_class < 1:
         raise ConfigError("classes and per_class must be >= 1")
     if cfg.vocab < TOK_CLASS_BASE + classes:
@@ -556,67 +580,15 @@ CHECKPOINT_MAGIC = "evlm-checkpoint v1"
 
 
 def _config_pairs(cfg: ModelConfig) -> list[tuple[str, str]]:
-    pairs = [
-        ("llm_layers", str(cfg.llm_layers)),
-        ("h_llm", str(cfg.h_llm)),
-        ("heads", str(cfg.heads)),
-        ("vocab", str(cfg.vocab)),
-        ("media_len", str(cfg.media_len)),
-        ("r_xc", repr(cfg.r_xc)),
-        ("r_xf", repr(cfg.r_xf)),
-        ("mask_mode", cfg.mask_mode),
-        ("pad_len", str(cfg.pad_len)),
-        ("ffn_mult", str(cfg.ffn_mult)),
-        ("max_seq", str(cfg.max_seq)),
-        ("encoder.layers", str(cfg.encoder.layers)),
-        ("encoder.patch_count", str(cfg.encoder.patch_count)),
-        ("encoder.feature_dim", str(cfg.encoder.feature_dim)),
-        ("encoder.tap_window", str(cfg.encoder.tap_window)),
-        ("encoder.num_taps", str(cfg.encoder.num_taps)),
-        ("moe.enabled", "1" if cfg.moe else "0"),
-    ]
-    if cfg.moe:
-        pairs += [
-            ("moe.n_replicas", str(cfg.moe.n_replicas)),
-            ("moe.segments", str(cfg.moe.segments)),
-            ("moe.top_k", str(cfg.moe.top_k)),
-            ("moe.use_world_expert", "1" if cfg.moe.use_world_expert else "0"),
-            ("moe.aux_loss_weight", repr(cfg.moe.aux_loss_weight)),
-        ]
-    return pairs
+    pairs = config_items(cfg) + config_items(cfg.encoder, "encoder.")
+    pairs.append(("moe.enabled", config_text(cfg.moe is not None)))
+    return pairs + (config_items(cfg.moe, "moe.") if cfg.moe else [])
 
 
-def _config_from_pairs(kv: dict[str, str]) -> ModelConfig:
-    moe = None
-    if kv["moe.enabled"] == "1":
-        moe = MoEConfig(
-            n_replicas=int(kv["moe.n_replicas"]),
-            segments=int(kv["moe.segments"]),
-            top_k=int(kv["moe.top_k"]),
-            use_world_expert=kv["moe.use_world_expert"] == "1",
-            aux_loss_weight=float(kv["moe.aux_loss_weight"]),
-        )
-    return ModelConfig(
-        llm_layers=int(kv["llm_layers"]),
-        h_llm=int(kv["h_llm"]),
-        heads=int(kv["heads"]),
-        vocab=int(kv["vocab"]),
-        media_len=int(kv["media_len"]),
-        r_xc=float(kv["r_xc"]),
-        r_xf=float(kv["r_xf"]),
-        moe=moe,
-        encoder=EncoderConfig(
-            layers=int(kv["encoder.layers"]),
-            patch_count=int(kv["encoder.patch_count"]),
-            feature_dim=int(kv["encoder.feature_dim"]),
-            tap_window=int(kv["encoder.tap_window"]),
-            num_taps=int(kv["encoder.num_taps"]),
-        ),
-        mask_mode=kv["mask_mode"],
-        pad_len=int(kv["pad_len"]),
-        ffn_mult=int(kv["ffn_mult"]),
-        max_seq=int(kv["max_seq"]),
-    )
+def _config_from_pairs(kv: Mapping[str, str]) -> ModelConfig:
+    moe = MoEConfig(**config_values(MoEConfig, kv, "moe.")) if parse_flag(kv["moe.enabled"]) else None
+    encoder = EncoderConfig(**config_values(EncoderConfig, kv, "encoder."))
+    return ModelConfig(**config_values(ModelConfig, kv), moe=moe, encoder=encoder)
 
 
 def save_checkpoint(model: FusedModel, path: str) -> None:

@@ -6,9 +6,10 @@ softmax-renormalized gates."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import ConfigError, DimensionError
+from .layers import ffn
 from .numerics import Graph, Node, Tensor, seeded_init
 
 
@@ -48,20 +49,9 @@ class DenseFFN:
             init((hidden, h), f"{prefix}.w_out", hidden**-0.5),
         )
 
-    @property
-    def width(self) -> int:
-        return self.w_in.shape[0]
-
-    @property
-    def hidden(self) -> int:
-        return self.w_in.shape[1]
-
-    def apply_nodes(self, g: Graph, x: Node, w_in: Node, w_out: Node) -> Node:
-        return g.matmul(g.gelu(g.matmul(x, w_in)), w_out)
-
     def apply(self, x: Tensor) -> Tensor:
         g = Graph()
-        return self.apply_nodes(g, g.leaf(x), g.leaf(self.w_in), g.leaf(self.w_out)).t
+        return ffn(g, g.leaf(x), g.leaf(self.w_in), g.leaf(self.w_out)).t
 
 
 @dataclass
@@ -116,7 +106,7 @@ def upcycle(dense: DenseFFN, cfg: MoEConfig) -> ExpertBank:
     Slicing along the hidden dimension is the unique split with the exact
     slice-sum identity sum_m expert_(r,m)(x) == dense(x).
     """
-    h, hidden = dense.width, dense.hidden
+    h, hidden = dense.w_in.shape
     if hidden % cfg.segments != 0:
         raise ConfigError(f"segments={cfg.segments} does not divide hidden width {hidden}")
     sw = hidden // cfg.segments
@@ -139,6 +129,13 @@ def upcycle(dense: DenseFFN, cfg: MoEConfig) -> ExpertBank:
     )
 
 
+def top_k(logits: Sequence[float], k: int) -> list[int]:
+    """The routing rule: indices of the k largest logits in ascending order;
+    ties break toward the lower index."""
+    order = sorted(range(len(logits)), key=lambda i: (-logits[i], i))
+    return sorted(order[:k])
+
+
 def route(x: Tensor, bank: ExpertBank) -> tuple[list[int], list[float]]:
     """Top-k expert indices for one token plus softmax-renormalized gates.
 
@@ -148,8 +145,7 @@ def route(x: Tensor, bank: ExpertBank) -> tuple[list[int], list[float]]:
         raise DimensionError(f"route expects (1, {bank.router.shape[0]}), got {x.shape}")
     g = Graph()
     logits = g.matmul(g.leaf(x), g.leaf(bank.router)).t.data
-    order = sorted(range(len(logits)), key=lambda i: (-logits[i], i))
-    chosen = sorted(order[: bank.cfg.top_k])
+    chosen = top_k(logits, bank.cfg.top_k)
     gates = (
         g.softmax_masked(
             g.leaf(Tensor((1, len(chosen)), [logits[i] for i in chosen])),
@@ -185,22 +181,15 @@ def moe_forward_nodes(
     for i in range(n_tok):
         row = g.row_select(x, [i])
         logits = g.matmul(row, router)  # (1, N*M)
-        lvals = logits.t.data
-        order = sorted(range(cfg.num_experts), key=lambda j: (-lvals[j], j))
-        chosen = sorted(order[: cfg.top_k])
+        chosen = top_k(logits.t.data, cfg.top_k)
         gates = None if unit_gates else g.softmax_masked(g.col_select(logits, chosen), all_true_k)
         acc: Node | None = None
         for slot, ei in enumerate(chosen):
-            e = bank.experts[ei]
-            out = e.apply_nodes(
-                g, row, nodes[f"{prefix}.expert{ei}.w_in"], nodes[f"{prefix}.expert{ei}.w_out"]
-            )
+            out = ffn(g, row, nodes[f"{prefix}.expert{ei}.w_in"], nodes[f"{prefix}.expert{ei}.w_out"])
             gated = out if gates is None else g.smul(out, g.col_select(gates, [slot]))
             acc = gated if acc is None else g.add(acc, gated)
         if cfg.use_world_expert:
-            world = bank.world.apply_nodes(
-                g, row, nodes[f"{prefix}.world.w_in"], nodes[f"{prefix}.world.w_out"]
-            )
+            world = ffn(g, row, nodes[f"{prefix}.world.w_in"], nodes[f"{prefix}.world.w_out"])
             acc = world if acc is None else g.add(acc, world)
         out_rows.append(acc)
         if stats is not None:

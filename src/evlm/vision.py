@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigError, DimensionError
+from .layers import block, block_params
 from .numerics import Graph, Init, Node, Tensor, seeded_init
 
 FFN_MULT = 4  # hidden width of each block's FFN relative to feature_dim
@@ -71,21 +72,12 @@ class VisionEncoder:
     def __init__(self, cfg: EncoderConfig, seed: int, prefix: str = "vision", init: Init | None = None):
         init = init or seeded_init(seed)
         self.cfg = cfg
-        self.prefix = prefix
         d = cfg.feature_dim
-        hdim = FFN_MULT * d
-        p: dict[str, Tensor] = {}
-        for i in range(cfg.layers):
-            b = f"block{i}."
-            for name in ("wq", "wk", "wv", "wo"):
-                p[b + name] = init((d, d), f"{prefix}.{b}{name}", d**-0.5)
-            p[b + "ln1.gain"] = Tensor.full((1, d), 1.0)
-            p[b + "ln1.bias"] = Tensor.zeros(1, d)
-            p[b + "ln2.gain"] = Tensor.full((1, d), 1.0)
-            p[b + "ln2.bias"] = Tensor.zeros(1, d)
-            p[b + "w_in"] = init((d, hdim), f"{prefix}.{b}w_in", d**-0.5)
-            p[b + "w_out"] = init((hdim, d), f"{prefix}.{b}w_out", hdim**-0.5)
-        self.params = p
+        self.params = {
+            f"block{i}.{name}": t
+            for i in range(cfg.layers)
+            for name, t in block_params(init, f"{prefix}.block{i}.", d, FFN_MULT * d).items()
+        }
         self.schedule = tap_schedule(cfg.layers, cfg.tap_window, cfg.num_taps)
 
     @staticmethod
@@ -102,23 +94,13 @@ class VisionEncoder:
             )
         s = cfg.patch_count
         full_mask = [[True] * s for _ in range(s)]
-        inv_scale = cfg.feature_dim**-0.5
         x = patches
-        wanted = set(self.schedule)
-        taps: dict[int, Node] = {}
+        taps = []
         for i in range(cfg.layers):
-            b = f"block{i}."
-            h = g.layer_norm(x, nodes[b + "ln1.gain"], nodes[b + "ln1.bias"])
-            q = g.matmul(h, nodes[b + "wq"])
-            k = g.matmul(h, nodes[b + "wk"])
-            v = g.matmul(h, nodes[b + "wv"])
-            probs = g.softmax_masked(g.scale(g.matmul(q, g.transpose(k)), inv_scale), full_mask)
-            x = g.add(x, g.matmul(g.matmul(probs, v), nodes[b + "wo"]))
-            h = g.layer_norm(x, nodes[b + "ln2.gain"], nodes[b + "ln2.bias"])
-            x = g.add(x, g.matmul(g.gelu(g.matmul(h, nodes[b + "w_in"])), nodes[b + "w_out"]))
-            if i in wanted:
-                taps[i] = x
-        return HierarchicalFeatures([taps[i] for i in self.schedule], list(self.schedule))
+            x = block(g, x, nodes, f"block{i}.", 1, full_mask)
+            if i in self.schedule:
+                taps.append(x)
+        return HierarchicalFeatures(taps, list(self.schedule))
 
     def encode(self, patches: Tensor) -> HierarchicalFeatures:
         """Standalone forward pass returning plain tensors."""

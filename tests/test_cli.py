@@ -220,6 +220,27 @@ def test_train_smoke_negative_steps_rejected(tiny_run, tmp_path):
     assert not (tmp_path / "neg.ckpt").exists()
 
 
+def test_probe_checkpoint_that_is_a_directory_is_a_usage_error(tmp_path):
+    out = run_cli("probe", "--checkpoint", str(tmp_path), "--image", "0", "--candidates", "0")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1
+
+
+def test_train_smoke_out_in_a_missing_directory_is_a_usage_error(tmp_path):
+    out = run_cli("train-smoke", "--steps", "1", "--out", str(tmp_path / "missing" / "x.ckpt"))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("steps", [[], ["--steps", "0"]], ids=["config_steps", "zero_steps"])
+def test_train_smoke_non_finite_lr_is_a_usage_error(tiny_run, tmp_path, steps):
+    cfg, _, _ = tiny_run
+    out = run_cli("train-smoke", "--config", str(cfg), *steps, "--lr", "nan", "--out", str(tmp_path / "nan.ckpt"))
+    assert out.returncode == 2
+    assert "lr" in out.stderr and "Traceback" not in out.stderr
+    assert not (tmp_path / "nan.ckpt").exists()
+
+
 # -- upcycle-check --------------------------------------------------------------------
 
 
@@ -280,6 +301,80 @@ def test_invalid_config_value_rejected(tmp_path):
     cfg.write_text("[model]\nllm_layers = 1\n")
     out = run_cli("train-smoke", "--config", str(cfg), "--steps", "0", "--out", str(tmp_path / "x.ckpt"))
     assert out.returncode == 2
+
+
+EVERY_KEY_CONFIG = """\
+[run]
+seed = 5
+
+[model]
+llm_layers = 3
+h_llm = 12
+heads = 3
+vocab = 9
+media_len = 3
+r_xc = 0.25
+r_xf = 0.75
+mask_mode = video
+pad_len = 2
+ffn_mult = 2
+max_seq = 40
+
+[encoder]
+layers = 5
+patch_count = 3
+feature_dim = 6
+tap_window = 3
+num_taps = 3
+
+[moe]
+enabled = 1
+n_replicas = 2
+segments = 3
+top_k = 5
+use_world_expert = 0
+aux_loss_weight = 0.125
+
+[train]
+steps = 7
+lr = 0.25
+stage = sft
+classes = 3
+per_class = 1
+"""
+
+
+def test_run_config_naming_every_key_builds_the_pinned_run_config(tmp_path):
+    from evlm.cli import RunConfig, load_run_config
+    from evlm.model import ModelConfig
+    from evlm.moe import MoEConfig
+    from evlm.vision import EncoderConfig
+
+    path = tmp_path / "every.cfg"
+    path.write_text(EVERY_KEY_CONFIG)
+    assert load_run_config(str(path)) == RunConfig(
+        model=ModelConfig(
+            llm_layers=3,
+            h_llm=12,
+            heads=3,
+            vocab=9,
+            media_len=3,
+            r_xc=0.25,
+            r_xf=0.75,
+            moe=MoEConfig(n_replicas=2, segments=3, top_k=5, use_world_expert=False, aux_loss_weight=0.125),
+            encoder=EncoderConfig(layers=5, patch_count=3, feature_dim=6, tap_window=3, num_taps=3),
+            mask_mode="video",
+            pad_len=2,
+            ffn_mult=2,
+            max_seq=40,
+        ),
+        seed=5,
+        steps=7,
+        lr=0.25,
+        stage="sft",
+        classes=3,
+        per_class=1,
+    )
 
 
 # -- determinism across commands ------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Assembled model: composed gate-zero identity, loss masking, freezing,
 smoke training, the loss-argmin probe, and checkpoint round-trips."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
-from evlm.errors import ConfigError, ContractViolationError, SequenceError
+from evlm.errors import ConfigError, ContractViolationError, NonFiniteError, SequenceError
 from evlm.fusion import ImageMarker, build_cross_mask_image, insert_media_tokens
 from evlm.model import (
     FusedModel,
@@ -18,6 +19,7 @@ from evlm.model import (
     loss_probe,
     next_token_targets,
     save_checkpoint,
+    smoke_config,
     synthetic_patches,
     train_smoke,
 )
@@ -272,6 +274,43 @@ def test_one_step_freezing_correctness(stage):
     assert changed_groups == expected
 
 
+def _param_snapshot(model):
+    return {name: list(t.data) for name, t in model.params.items()}
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf])
+def test_sgd_step_rejects_non_finite_lr_without_touching_parameters(lr):
+    model = freeze_test_model()
+    batch = [(mixed_sequence(model, random.Random(20), num_images=1), rand_images(model, 1, 21))]
+    before = _param_snapshot(model)
+    with pytest.raises(ConfigError):
+        model.sgd_step(batch, lr=lr, trainable_groups=model.freeze_stage("pretrain_phase1"))
+    assert _param_snapshot(model) == before
+
+
+def test_sgd_step_with_a_non_finite_gradient_changes_no_parameter(monkeypatch):
+    model = freeze_test_model()
+    batch = [(mixed_sequence(model, random.Random(20), num_images=1), rand_images(model, 1, 21))]
+    trainable = model.freeze_stage("sft")
+    n_trainable = sum(trainable[model.group_of[name]] for name in model.params)
+    original_grad = Graph.grad
+    calls = []
+
+    def grad_with_inf_last(self, node):
+        grad = original_grad(self, node)
+        calls.append(node)
+        if len(calls) == n_trainable:  # the last trainable parameter's gradient
+            grad.data[0] = math.inf
+        return grad
+
+    monkeypatch.setattr(Graph, "grad", grad_with_inf_last)
+    before = _param_snapshot(model)
+    with pytest.raises(NonFiniteError):
+        model.sgd_step(batch, lr=0.5, trainable_groups=trainable)
+    assert len(calls) == n_trainable
+    assert _param_snapshot(model) == before
+
+
 # -- smoke training and probe ----------------------------------------------------------
 
 
@@ -460,6 +499,59 @@ def test_checkpoint_rejects_malformed(tmp_path, corrupt):
     path.write_text("\n".join(corrupt(lines)) + "\n")
     with pytest.raises(ConfigError):
         load_checkpoint(str(path))
+
+
+_SMOKE_CONFIG_LINES = [
+    "config llm_layers=2",
+    "config h_llm=16",
+    "config heads=2",
+    "config vocab=12",
+    "config media_len=8",
+    "config r_xc=0.2",
+    "config r_xf=0.5",
+    "config mask_mode=image",
+    "config pad_len=1",
+    "config ffn_mult=4",
+    "config max_seq=32",
+    "config encoder.layers=4",
+    "config encoder.patch_count=5",
+    "config encoder.feature_dim=8",
+    "config encoder.tap_window=4",
+    "config encoder.num_taps=2",
+    "config moe.enabled=0",
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, want",
+    [
+        ({}, _SMOKE_CONFIG_LINES),
+        (
+            {"moe": MoEConfig(n_replicas=4, segments=4, top_k=4, aux_loss_weight=0.01)},
+            _SMOKE_CONFIG_LINES[:-1]
+            + [
+                "config moe.enabled=1",
+                "config moe.n_replicas=4",
+                "config moe.segments=4",
+                "config moe.top_k=4",
+                "config moe.use_world_expert=1",
+                "config moe.aux_loss_weight=0.01",
+            ],
+        ),
+        (
+            {"mask_mode": "video", "max_seq": 64},
+            [
+                line.replace("mask_mode=image", "mask_mode=video").replace("max_seq=32", "max_seq=64")
+                for line in _SMOKE_CONFIG_LINES
+            ],
+        ),
+    ],
+    ids=["smoke", "moe", "video"],
+)
+def test_checkpoint_config_lines_are_pinned(tmp_path, overrides, want):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(FusedModel(dataclasses.replace(smoke_config(), **overrides), seed=0), str(path))
+    assert [line for line in path.read_text().splitlines() if line.startswith("config ")] == want
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

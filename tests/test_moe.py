@@ -132,6 +132,19 @@ def test_route_deterministic():
 # -- moe_forward ----------------------------------------------------------------
 
 
+def test_route_picks_the_experts_the_forward_pass_counts_per_row():
+    bank = upcycle(make_dense(), MoEConfig(n_replicas=3, segments=2, top_k=2))
+    bank.router = Tensor.randn((6, 6), derive_seed(9, "router"))
+    x = Tensor.randn((5, 6), derive_seed(9, "tokens"))
+    rows = [Tensor((1, 6), x.row(i)) for i in range(5)] + [Tensor.zeros(1, 6)]  # the last row ties
+    for row in rows:
+        stats = RoutingStats(bank.cfg.num_experts)
+        moe_forward(row, bank, stats=stats)
+        chosen, _ = route(row, bank)
+        assert stats.assignments == [int(e in chosen) for e in range(bank.cfg.num_experts)]
+    assert route(rows[-1], bank)[0] == [0, 1]
+
+
 def test_forward_one_replica_selected_equals_scaled_dense():
     # router biased so the token picks exactly replica 1's segments (indices
     # 2 and 3) with equal gates 1/M; the slice-sum identity then gives
