@@ -266,8 +266,8 @@ class GatedXAttn:
         self, hidden: Tensor, kv: Tensor, mask: CrossMask, ffn_branch=None
     ) -> Tensor:
         g = Graph()
-        nodes = {name: g.leaf(t) for name, t in self.params.items()}
-        return self.forward_nodes(g, g.leaf(hidden), g.leaf(kv), mask, nodes, ffn_branch).t
+        nodes = {name: g.param(t) for name, t in self.params.items()}
+        return self.forward_nodes(g, g.param(hidden), g.param(kv), mask, nodes, ffn_branch).t
 
 
 def build_padded_kv(g: Graph, taps: Sequence[Node], pad_len: int, d_img: int) -> Node:

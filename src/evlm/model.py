@@ -14,7 +14,6 @@ from .fusion import (
     GatedXAttn,
     ImageMarker,
     InterleavedSequence,
-    MediaSlot,
     Text,
     build_cross_mask_image,
     build_cross_mask_video,
@@ -91,7 +90,12 @@ class ModelConfig:
 # -- config schema: one text key per scalar field of the config dataclasses --
 
 def parse_flag(text: str) -> bool:
-    return text.strip() == "1"
+    """A flag's text form: 0 or 1 after stripping whitespace; anything else
+    raises ValueError."""
+    value = text.strip()
+    if value not in ("0", "1"):
+        raise ValueError(f"a flag must be 0 or 1, got {text!r}")
+    return value == "1"
 
 
 # keyed by annotation text: the config modules use `from __future__ import annotations`
@@ -228,9 +232,6 @@ class FusedModel:
             out[group].append(name)
         return out
 
-    def freeze_stage(self, stage: str) -> dict[str, bool]:
-        return freeze_stage(stage)
-
     # -- forward -----------------------------------------------------------
 
     def encode_images(
@@ -263,33 +264,14 @@ class FusedModel:
             raise SequenceError("token id outside vocabulary")
 
     def _embed_stream(self, g: Graph, seq: InterleavedSequence, nodes: Mapping[str, Node]) -> Node:
+        """Token and media-slot embeddings in one gather from the stacked
+        table (text token t is row t, media slot s is row vocab + s), plus
+        positions."""
         self._check_stream(seq)
-        n = len(seq)
-        text_ids = [e.token for e in seq.elements if isinstance(e, Text)]
-        slot_ids = [e.slot for e in seq.elements if isinstance(e, MediaSlot)]
-        parts: list[Node] = []
-        if text_ids:
-            parts.append(g.row_select(nodes["llm.tok_emb"], text_ids))
-        if slot_ids:
-            parts.append(g.row_select(nodes["media.table"], slot_ids))
-        cat = parts[0] if len(parts) == 1 else g.concat_rows(parts)
-        perm = []
-        t_seen = m_seen = 0
-        for e in seq.elements:
-            if isinstance(e, Text):
-                perm.append(t_seen)
-                t_seen += 1
-            else:
-                perm.append(len(text_ids) + m_seen)
-                m_seen += 1
-        emb = g.row_select(cat, perm)
-        pos = g.row_select(nodes["llm.pos_emb"], list(range(n)))
-        return g.add(emb, pos)
-
-    def _decoder_block(
-        self, g: Graph, x: Node, t: int, self_mask: list[list[bool]], nodes: Mapping[str, Node]
-    ) -> Node:
-        return block(g, x, nodes, f"llm.block{t}.", self.cfg.heads, self_mask)
+        table = g.concat_rows([nodes["llm.tok_emb"], nodes["media.table"]])
+        rows = [e.token if isinstance(e, Text) else self.cfg.vocab + e.slot for e in seq.elements]
+        pos = g.row_select(nodes["llm.pos_emb"], list(range(len(seq))))
+        return g.add(g.row_select(table, rows), pos)
 
     def forward_nodes(
         self,
@@ -298,7 +280,6 @@ class FusedModel:
         taps: Sequence[Sequence[Node]],
         nodes: Mapping[str, Node],
         text_only: bool = False,
-        mask_mode: str | None = None,
         moe_stats: dict[int, RoutingStats] | None = None,
     ) -> Node:
         """Logits over the interleaved stream; taps is one tap list per image
@@ -309,8 +290,7 @@ class FusedModel:
         x = self._embed_stream(g, seq, nodes)
         self_mask = build_self_mask(seq)
         if not text_only:
-            mode = mask_mode or cfg.mask_mode
-            builder = build_cross_mask_image if mode == "image" else build_cross_mask_video
+            builder = build_cross_mask_image if cfg.mask_mode == "image" else build_cross_mask_video
             cross_mask = builder(seq, cfg.encoder.patch_count, cfg.pad_len)
             kv_cache: dict[int, Node] = {}
         for t in range(cfg.llm_layers):
@@ -327,61 +307,96 @@ class FusedModel:
                 if self.banks is not None:
                     bank = self.banks[t]
                     stats = None
-                    if moe_stats is not None:
-                        if t not in moe_stats:  # shared across samples in one graph
-                            moe_stats[t] = RoutingStats(
-                                bank.cfg.num_experts,
-                                prob_nodes=[] if bank.cfg.aux_loss_weight > 0 else None,
-                            )
-                        stats = moe_stats[t]
+                    if moe_stats is not None:  # shared across samples in one graph
+                        stats = moe_stats.setdefault(t, RoutingStats(bank.cfg.num_experts))
                     ffn_branch = functools.partial(
                         moe_forward_nodes, g, bank=bank, nodes=nodes, prefix=prefix + "moe", stats=stats
                     )
                 x = layer.forward_nodes(g, x, kv_cache[j], cross_mask, lnodes, ffn_branch=ffn_branch)
-            x = self._decoder_block(g, x, t, self_mask, nodes)
+            x = block(g, x, nodes, f"llm.block{t}.", cfg.heads, self_mask)
         x = g.layer_norm(x, nodes["llm.ln_f.gain"], nodes["llm.ln_f.bias"])
         return g.matmul(x, nodes["llm.head"])
 
-    def forward(
-        self,
-        seq: InterleavedSequence,
-        images: Sequence[Tensor] = (),
-        text_only: bool = False,
-        mask_mode: str | None = None,
-    ) -> Tensor:
+    def forward(self, seq: InterleavedSequence, images: Sequence[Tensor] = (), text_only: bool = False) -> Tensor:
         g = Graph()
         nodes = self.param_nodes(g)
         taps = [] if text_only else self.encode_images(g, images, nodes)
-        return self.forward_nodes(g, seq, taps, nodes, text_only=text_only, mask_mode=mask_mode).t
+        return self.forward_nodes(g, seq, taps, nodes, text_only=text_only).t
 
     # -- loss ----------------------------------------------------------------
 
-    def loss_nodes(
-        self,
-        g: Graph,
-        logits: Node,
-        seq: InterleavedSequence,
-        targets: Sequence[int] | None = None,
-    ) -> Node:
+    def loss_nodes(self, g: Graph, logits: Node, seq: InterleavedSequence) -> Node:
         tgt, mask = next_token_targets(seq)
-        if targets is not None:
-            tgt = list(targets)
         if not any(mask):
             raise ContractViolationError("sequence has no text predictions to score")
         return g.cross_entropy(logits, tgt, mask)
 
-    def loss(
-        self,
-        seq: InterleavedSequence,
-        images: Sequence[Tensor] = (),
-        targets: Sequence[int] | None = None,
-        mask_mode: str | None = None,
-    ) -> float:
+    def loss(self, seq: InterleavedSequence, images: Sequence[Tensor] = ()) -> float:
+        return self.losses([seq], images)[0]
+
+    def losses(self, seqs: Sequence[InterleavedSequence], images: Sequence[Tensor] = ()) -> list[float]:
+        """The loss of each stream over the same images.
+
+        One call registers the parameters in one graph, encodes the images
+        once and runs one decoder forward per distinct context, the stream
+        minus its final element (streams with different image counts never
+        share); every stream with that context is scored on the same logits.
+        Sharing is exact: the final position is never a loss target, and no
+        other row reads it (self-attention is causal; cross-attention, the
+        FFN or MoE and the norms act row by row; a masked attention weight is
+        exactly 0.0), so the scored rows are bit-identical to a forward over
+        each stream on its own. Each stream passes the same input checks, and
+        raises the same error, as it would alone.
+        """
         g = Graph()
         nodes = self.param_nodes(g)
         taps = self.encode_images(g, images, nodes)
-        logits = self.forward_nodes(g, seq, taps, nodes, mask_mode=mask_mode)
-        return self.loss_nodes(g, logits, seq, targets).t.item()
+        logits_by_context: dict[tuple, Node] = {}
+        out = []
+        for seq in seqs:
+            context = (seq.num_images, *seq.elements[:-1])
+            logits = logits_by_context.get(context)
+            if logits is None:
+                logits = logits_by_context[context] = self.forward_nodes(g, seq, taps, nodes)
+            else:
+                self._check_stream(seq)
+            out.append(self.loss_nodes(g, logits, seq).t.item())
+        return out
+
+    def _batch_loss(
+        self,
+        g: Graph,
+        nodes: Mapping[str, Node],
+        batch: Sequence[tuple[InterleavedSequence, Sequence[Tensor] | Sequence[Sequence[Tensor]]]],
+        taps_precomputed: bool,
+    ) -> Node:
+        """Mean per-sample loss over the batch plus the weighted MoE aux loss.
+        Records the batch's routing in last_routing_stats."""
+        total: Node | None = None
+        moe_stats: dict[int, RoutingStats] | None = {} if self.banks is not None else None
+        for seq, imgs in batch:
+            if taps_precomputed:
+                taps = [[g.constant(t) for t in img_taps] for img_taps in imgs]
+            else:
+                taps = self.encode_images(g, imgs, nodes)
+            logits = self.forward_nodes(g, seq, taps, nodes, moe_stats=moe_stats)
+            sample_loss = self.loss_nodes(g, logits, seq)
+            total = sample_loss if total is None else g.add(total, sample_loss)
+        mean = g.scale(total, 1.0 / len(batch))
+        if moe_stats is None:
+            return mean
+        if self.cfg.moe.aux_loss_weight > 0:
+            aux_total: Node | None = None
+            for stats in moe_stats.values():
+                term = aux_loss_node(g, stats)
+                aux_total = term if aux_total is None else g.add(aux_total, term)
+            mean = g.add(mean, g.scale(aux_total, self.cfg.moe.aux_loss_weight / len(moe_stats)))
+        # plain copies (no graph references) for reporting
+        self.last_routing_stats = [
+            RoutingStats(s.num_experts, s.tokens, list(s.assignments), list(s.prob_sums))
+            for _, s in sorted(moe_stats.items())
+        ]
+        return mean
 
     # -- training ---------------------------------------------------------------
 
@@ -405,31 +420,8 @@ class FusedModel:
             raise ConfigError(f"lr must be finite, got {lr!r}")
         g = Graph()
         nodes = self.param_nodes(g)
-        total: Node | None = None
-        moe_stats: dict[int, RoutingStats] | None = {} if self.banks is not None else None
-        for seq, imgs in batch:
-            if taps_precomputed:
-                taps = [[g.constant(t) for t in img_taps] for img_taps in imgs]
-            else:
-                taps = self.encode_images(g, imgs, nodes)
-            logits = self.forward_nodes(g, seq, taps, nodes, moe_stats=moe_stats)
-            sample_loss = self.loss_nodes(g, logits, seq)
-            total = sample_loss if total is None else g.add(total, sample_loss)
-        mean = g.scale(total, 1.0 / len(batch))
-        if self.cfg.moe is not None and self.cfg.moe.aux_loss_weight > 0 and moe_stats:
-            aux_total: Node | None = None
-            for stats in moe_stats.values():
-                term = aux_loss_node(g, stats)
-                aux_total = term if aux_total is None else g.add(aux_total, term)
-            weight = self.cfg.moe.aux_loss_weight / len(moe_stats)
-            mean = g.add(mean, g.scale(aux_total, weight))
-        if moe_stats is not None:
-            # plain copies (no graph references) for reporting
-            self.last_routing_stats = [
-                RoutingStats(s.num_experts, s.tokens, list(s.assignments), list(s.prob_sums))
-                for _, s in sorted(moe_stats.items())
-            ]
-        g.backward(mean)
+        loss = self._batch_loss(g, nodes, batch, taps_precomputed)
+        g.backward(loss)
         # every new value is computed and checked before any parameter changes
         updates = []
         for name, t in self.params.items():
@@ -440,7 +432,7 @@ class FusedModel:
                 updates.append((t, new))
         for t, new in updates:
             t.data[:] = new
-        return mean.t.item()
+        return loss.t.item()
 
 
 # -- synthetic smoke task ----------------------------------------------------
@@ -516,7 +508,7 @@ def train_smoke(
     if cfg.vocab < TOK_CLASS_BASE + classes:
         raise ConfigError(f"vocab must be >= {TOK_CLASS_BASE + classes} for {classes} classes")
     model = FusedModel(cfg, seed)
-    trainable = model.freeze_stage(stage)
+    trainable = freeze_stage(stage)
     vision_frozen = not any(
         trainable[group] for group in ("vit_front", "vit_back_half", "vit_last_quarter")
     )
@@ -529,11 +521,10 @@ def train_smoke(
             imgs = model.encode_images_tensors([patches]) if vision_frozen else [patches]
             batch.append((seq, imgs))
 
-    losses = []
-    for _ in range(steps):
-        losses.append(model.sgd_step(batch, lr, trainable, taps_precomputed=vision_frozen))
-    # evaluate the final state so the curve is steps+1 long
-    losses.append(model.sgd_step(batch, 0.0, {}, taps_precomputed=vision_frozen))
+    losses = [model.sgd_step(batch, lr, trainable, taps_precomputed=vision_frozen) for _ in range(steps)]
+    # evaluate the final state, forward only, so the curve is steps+1 long
+    g = Graph()
+    losses.append(model._batch_loss(g, model.param_nodes(g), batch, vision_frozen).t.item())
     return SmokeResult(model=model, losses=losses)
 
 
@@ -541,35 +532,12 @@ def loss_probe(
     model: FusedModel, patches: Tensor, candidates: Sequence[Sequence[int]]
 ) -> tuple[int, list[float]]:
     """Index of the candidate caption with the lowest loss (ties -> lowest
-    index) plus the per-candidate losses, each equal to `model.loss` on that
-    candidate's stream.
-
-    One call registers the parameters in one graph, encodes the image once
-    and runs one decoder forward per distinct context, the stream minus its
-    final element; every candidate with that context is scored on the same
-    logits. Sharing is exact: the final position is never a loss target, and
-    no other row reads it (self-attention is causal; cross-attention, the
-    FFN or MoE and the norms act row by row; a masked attention weight is
-    exactly 0.0), so the scored rows are bit-identical to a forward over each
-    candidate's own stream. Each candidate passes the same input checks, and
-    raises the same error, as it would in `model.loss`.
-    """
+    index) plus the per-candidate losses, scored by `model.losses` on the
+    candidates' streams over the one image."""
     if not candidates:
         raise ConfigError("loss_probe needs at least one candidate")
-    g = Graph()
-    nodes = model.param_nodes(g)
-    taps = model.encode_images(g, [patches], nodes)
-    logits_by_context: dict[tuple, Node] = {}
-    losses = []
-    for tokens in candidates:
-        seq = insert_media_tokens([ImageMarker(0), *tokens], media_len=model.cfg.media_len)
-        context = tuple(seq.elements[:-1])
-        logits = logits_by_context.get(context)
-        if logits is None:
-            logits = logits_by_context[context] = model.forward_nodes(g, seq, taps, nodes)
-        else:
-            model._check_stream(seq)
-        losses.append(model.loss_nodes(g, logits, seq).t.item())
+    seqs = [insert_media_tokens([ImageMarker(0), *tokens], media_len=model.cfg.media_len) for tokens in candidates]
+    losses = model.losses(seqs, [patches])
     best = min(range(len(losses)), key=lambda i: (losses[i], i))
     return best, losses
 

@@ -51,23 +51,20 @@ class DenseFFN:
 
     def apply(self, x: Tensor) -> Tensor:
         g = Graph()
-        return ffn(g, g.leaf(x), g.leaf(self.w_in), g.leaf(self.w_out)).t
+        return ffn(g, g.param(x), g.param(self.w_in), g.param(self.w_out)).t
 
 
 @dataclass
 class RoutingStats:
-    """Plain per-batch record of router behavior (CLI-reportable).
-
-    Set prob_nodes to an empty list before the forward pass to additionally
-    collect the per-token full-softmax probabilities as graph nodes, which
-    keeps the aux loss differentiable.
-    """
+    """Plain per-batch record of router behavior (CLI-reportable), plus the
+    per-token full-softmax probabilities as graph nodes, which keep the aux
+    loss differentiable."""
 
     num_experts: int
     tokens: int = 0
     assignments: list[int] = field(default_factory=list)  # per expert, over tokens*k slots
     prob_sums: list[float] = field(default_factory=list)  # full-softmax prob mass per expert
-    prob_nodes: list[Node] | None = None
+    prob_nodes: list[Node] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.assignments:
@@ -144,11 +141,11 @@ def route(x: Tensor, bank: ExpertBank) -> tuple[list[int], list[float]]:
     if x.shape != (1, bank.router.shape[0]):
         raise DimensionError(f"route expects (1, {bank.router.shape[0]}), got {x.shape}")
     g = Graph()
-    logits = g.matmul(g.leaf(x), g.leaf(bank.router)).t.data
+    logits = g.matmul(g.param(x), g.param(bank.router)).t.data
     chosen = top_k(logits, bank.cfg.top_k)
     gates = (
         g.softmax_masked(
-            g.leaf(Tensor((1, len(chosen)), [logits[i] for i in chosen])),
+            g.param(Tensor((1, len(chosen)), [logits[i] for i in chosen])),
             [[True] * len(chosen)],
         )
         .t.data
@@ -199,8 +196,7 @@ def moe_forward_nodes(
             full = g.softmax_masked(logits, [[True] * cfg.num_experts])
             for ei in range(cfg.num_experts):
                 stats.prob_sums[ei] += full.t.data[ei]
-            if stats.prob_nodes is not None:
-                stats.prob_nodes.append(full)
+            stats.prob_nodes.append(full)
     return g.concat_rows(out_rows)
 
 
@@ -208,8 +204,8 @@ def moe_forward(
     x: Tensor, bank: ExpertBank, stats: RoutingStats | None = None, unit_gates: bool = False
 ) -> Tensor:
     g = Graph()
-    nodes = {name: g.leaf(t) for name, t in bank.param_items()}
-    return moe_forward_nodes(g, g.leaf(x), bank, nodes, stats=stats, unit_gates=unit_gates).t
+    nodes = {name: g.param(t) for name, t in bank.param_items()}
+    return moe_forward_nodes(g, g.param(x), bank, nodes, stats=stats, unit_gates=unit_gates).t
 
 
 def aux_load_balance_loss(stats: RoutingStats) -> float:
@@ -231,8 +227,8 @@ def aux_loss_node(g: Graph, stats: RoutingStats) -> Node:
     """Differentiable counterpart of aux_load_balance_loss; gradients reach
     the router through the softmax probabilities while the routed fractions
     are treated as locally constant."""
-    if stats.prob_nodes is None or stats.tokens == 0:
-        raise ConfigError("stats were collected without prob_nodes")
+    if not stats.prob_nodes:
+        raise ConfigError("stats hold no routing probabilities")
     probs = g.concat_rows(stats.prob_nodes)  # (tokens, N*M)
     mean = g.matmul(g.constant(Tensor.full((1, stats.tokens), 1.0 / stats.tokens)), probs)
     slots = sum(stats.assignments)

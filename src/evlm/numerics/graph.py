@@ -100,8 +100,6 @@ class Graph:
         """Register a leaf tensor; its gradient is available after backward."""
         return self._emit(t, None)
 
-    leaf = param
-
     def constant(self, t: Tensor) -> Node:
         return self._emit(t, None)
 
@@ -316,9 +314,6 @@ class Graph:
             acc(a, delta)
 
         return self._out((m, w), out, bwd)
-
-    def col_slice(self, a: Node, start: int, stop: int) -> Node:
-        return self.col_select(a, range(start, stop))
 
     def concat_rows(self, parts: Sequence[Node]) -> Node:
         n = parts[0].t.cols

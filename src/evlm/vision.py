@@ -105,6 +105,6 @@ class VisionEncoder:
     def encode(self, patches: Tensor) -> HierarchicalFeatures:
         """Standalone forward pass returning plain tensors."""
         g = Graph()
-        nodes = {name: g.leaf(t) for name, t in self.params.items()}
-        feats = self.encode_nodes(g, g.leaf(patches), nodes)
+        nodes = {name: g.param(t) for name, t in self.params.items()}
+        feats = self.encode_nodes(g, g.param(patches), nodes)
         return HierarchicalFeatures([n.t for n in feats.taps], feats.source_layers)

@@ -38,6 +38,7 @@ from evlm.model import (
     FusedModel,
     ModelConfig,
     caption_tokens,
+    freeze_stage,
     loss_probe,
     smoke_config,
     synthetic_patches,
@@ -397,7 +398,7 @@ def test_criterion_6_freezing():
             enc = cfg.encoder
             images = [Tensor.randn((enc.patch_count, enc.feature_dim), derive_seed(62, "img"))]
             before = {name: list(t.data) for name, t in model.params.items()}
-            trainable = model.freeze_stage(stage)
+            trainable = freeze_stage(stage)
             if stage == "pretrain_phase1":
                 assert {g for g, on in trainable.items() if on} == {"xattn", "media_tokens"}
             model.sgd_step([(seq, images)], lr=1.0, trainable_groups=trainable)

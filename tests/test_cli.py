@@ -303,6 +303,20 @@ def test_invalid_config_value_rejected(tmp_path):
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "section",
+    ["[moe]\nenabled = true\n", "[moe]\nenabled = 1\nuse_world_expert = yes\n"],
+    ids=["enabled_true", "world_expert_yes"],
+)
+def test_config_flag_other_than_0_or_1_rejected(tmp_path, section):
+    cfg = tmp_path / "flag.cfg"
+    cfg.write_text(TINY_CONFIG + section)
+    out = run_cli("train-smoke", "--config", str(cfg), "--steps", "0", "--out", str(tmp_path / "x.ckpt"))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 EVERY_KEY_CONFIG = """\
 [run]
 seed = 5

@@ -297,9 +297,9 @@ def test_gate_zero_identity_bit_exact():
     hidden = Tensor.randn((3, 4), derive_seed(0, "hidden"))
     kv = Tensor.randn((2, 3), derive_seed(0, "feats"))
     g = Graph()
-    kv_node = build_padded_kv(g, [g.leaf(kv)], pad_len=1, d_img=3)
-    nodes = {n: g.leaf(t) for n, t in layer.params.items()}
-    out = layer.forward_nodes(g, g.leaf(hidden), kv_node, mask, nodes)
+    kv_node = build_padded_kv(g, [g.param(kv)], pad_len=1, d_img=3)
+    nodes = {n: g.param(t) for n, t in layer.params.items()}
+    out = layer.forward_nodes(g, g.param(hidden), kv_node, mask, nodes)
     assert out.t.data == hidden.data
 
 
@@ -344,9 +344,9 @@ def test_locality_image_content_invisible_before_its_run():
 
     def run(f1):
         g = Graph()
-        kv = build_padded_kv(g, [g.leaf(feats0), g.leaf(f1)], pad_len=1, d_img=3)
-        nodes = {n: g.leaf(t) for n, t in layer.params.items()}
-        return layer.forward_nodes(g, g.leaf(hidden), kv, mask, nodes).t
+        kv = build_padded_kv(g, [g.param(feats0), g.param(f1)], pad_len=1, d_img=3)
+        nodes = {n: g.param(t) for n, t in layer.params.items()}
+        return layer.forward_nodes(g, g.param(hidden), kv, mask, nodes).t
 
     out_a, out_b = run(feats1a), run(feats1b)
     image1_run_start = 4  # positions 0..3 precede image 1's run

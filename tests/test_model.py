@@ -2,6 +2,7 @@
 smoke training, the loss-argmin probe, and checkpoint round-trips."""
 
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -9,6 +10,7 @@ import pytest
 
 from evlm.errors import ConfigError, ContractViolationError, NonFiniteError, SequenceError
 from evlm.fusion import ImageMarker, build_cross_mask_image, insert_media_tokens
+from evlm.layers import block
 from evlm.model import (
     FusedModel,
     ModelConfig,
@@ -85,14 +87,15 @@ def test_no_images_reduces_to_text_decoder():
 
 
 def test_single_image_video_and_image_modes_agree():
-    model = FusedModel(tiny_config(), seed=5)
-    for name, t in model.params.items():
-        if name.endswith(("alpha_attn", "alpha_ffn")):
-            t.data[0] = 0.4  # open the gates so the masks actually matter
+    model, video_model = FusedModel(tiny_config(), seed=5), FusedModel(tiny_config(mask_mode="video"), seed=5)
+    for m in (model, video_model):
+        for name, t in m.params.items():
+            if name.endswith(("alpha_attn", "alpha_ffn")):
+                t.data[0] = 0.4  # open the gates so the masks actually matter
     seq = caption_sequence(model.cfg, 1)
     images = rand_images(model, 1, 9)
-    out_img = model.forward(seq, images, mask_mode="image")
-    out_vid = model.forward(seq, images, mask_mode="video")
+    out_img = model.forward(seq, images)
+    out_vid = video_model.forward(seq, images)
     assert out_img.data == out_vid.data
 
 
@@ -136,13 +139,13 @@ def test_loss_ignores_media_position_logits():
     logits = model.forward(seq, images)
     g = Graph()
     targets, mask = next_token_targets(seq)
-    base = g.cross_entropy(g.leaf(logits), targets, mask).t.item()
+    base = g.cross_entropy(g.param(logits), targets, mask).t.item()
     bent = logits.copy()
     v = model.cfg.vocab
     bent.data[0:v] = [x + 3.21 for x in bent.data[0:v]]  # slot-0 row is masked
     bent.data[-v:] = [x - 9.9 for x in bent.data[-v:]]  # final row predicts nothing
     g2 = Graph()
-    assert g2.cross_entropy(g2.leaf(bent), targets, mask).t.item() == base
+    assert g2.cross_entropy(g2.param(bent), targets, mask).t.item() == base
 
 
 def test_pure_text_loss_equals_plain_lm_loss():
@@ -262,7 +265,7 @@ def test_one_step_freezing_correctness(stage):
     seq = mixed_sequence(model, rng, num_images=1)
     batch = [(seq, rand_images(model, 1, 21))]
     before = {name: list(t.data) for name, t in model.params.items()}
-    trainable = model.freeze_stage(stage)
+    trainable = freeze_stage(stage)
     model.sgd_step(batch, lr=1.0, trainable_groups=trainable)
     changed_groups = set()
     for name, t in model.params.items():
@@ -284,14 +287,14 @@ def test_sgd_step_rejects_non_finite_lr_without_touching_parameters(lr):
     batch = [(mixed_sequence(model, random.Random(20), num_images=1), rand_images(model, 1, 21))]
     before = _param_snapshot(model)
     with pytest.raises(ConfigError):
-        model.sgd_step(batch, lr=lr, trainable_groups=model.freeze_stage("pretrain_phase1"))
+        model.sgd_step(batch, lr=lr, trainable_groups=freeze_stage("pretrain_phase1"))
     assert _param_snapshot(model) == before
 
 
 def test_sgd_step_with_a_non_finite_gradient_changes_no_parameter(monkeypatch):
     model = freeze_test_model()
     batch = [(mixed_sequence(model, random.Random(20), num_images=1), rand_images(model, 1, 21))]
-    trainable = model.freeze_stage("sft")
+    trainable = freeze_stage("sft")
     n_trainable = sum(trainable[model.group_of[name]] for name in model.params)
     original_grad = Graph.grad
     calls = []
@@ -434,6 +437,68 @@ def test_probe_losses_equal_per_candidate_loss(monkeypatch, overrides):
     assert len(forwards) == len(contexts) < len(candidates)
 
 
+_GRADIENT_SHA256 = {
+    "image-dense": "e2866f662e57de9a4f1c9f43963feb831ee0d70c008a6873d288db905d4a5201",
+    "image-moe": "f139d3e9bd521666a95bf04dd46adc6177a04f52b32371a668ea84dd87b0afdb",
+    "video-dense": "888fb24657593f4a36bc05b438626d45c6506cebf0abe9aebd4a9024854553bb",
+    "video-moe": "e86f50b2d6e67bb030e21854d06b1fcbcdcdbcc698506d2a656049f71faa18c4",
+}
+
+
+@pytest.mark.parametrize("mode", ["image", "video"])
+@pytest.mark.parametrize("moe", [None, MoEConfig(n_replicas=2, segments=2, top_k=2)], ids=["dense", "moe"])
+def test_parameter_gradients_are_pinned(mode, moe):
+    # every parameter's gradient, llm.tok_emb included, which no stage trains
+    model = FusedModel(tiny_config(mask_mode=mode, moe=moe), seed=21)
+    for name, t in model.params.items():
+        if name.endswith(("alpha_attn", "alpha_ffn")):
+            t.data[0] = 0.3
+        if name.endswith("moe.router"):
+            t.data[:] = Tensor.randn(t.shape, derive_seed(22, name), 0.5).data
+    seq = insert_media_tokens([1, ImageMarker(0), 4, 7, ImageMarker(1), 2, 9], media_len=model.cfg.media_len)
+    images = rand_images(model, 2, 23)
+    g = Graph()
+    nodes = model.param_nodes(g)
+    logits = model.forward_nodes(g, seq, model.encode_images(g, images, nodes), nodes)
+    g.backward(model.loss_nodes(g, logits, seq))
+    grads = repr([(name, g.grad(nodes[name]).data) for name in sorted(model.params)])
+    key = f"{mode}-{'dense' if moe is None else 'moe'}"
+    assert hashlib.sha256(grads.encode()).hexdigest() == _GRADIENT_SHA256[key]
+
+
+_SMOKE_PINS = {
+    "dense": (["1.71442822622684", "1.7519631769074575", "1.6371396625691021"], None),
+    "moe": (
+        ["1.72442822622684", "1.7586583418529314", "1.6309041344508304"],
+        [
+            (10, [4, 4, 6, 6], ["2.499924327566852", "2.4999241590394687", "2.500074308064926", "2.5000772053287528"]),
+            (10, [7, 0, 5, 8], ["2.4991167357863833", "2.4991167357863833", "2.4987614562994076", "2.5030050721278254"]),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "moe", [None, MoEConfig(n_replicas=2, segments=2, top_k=2, aux_loss_weight=0.01)], ids=["dense", "moe"]
+)
+def test_train_smoke_runs_one_backward_per_step(monkeypatch, moe):
+    backward = Graph.backward
+    calls = []
+
+    def counted(self, root):
+        calls.append(root)
+        return backward(self, root)
+
+    monkeypatch.setattr(Graph, "backward", counted)
+    cfg = dataclasses.replace(quick_smoke_cfg(), moe=moe)
+    stage = "pretrain_phase1" if moe is None else "sft"  # frozen-vision fast path, in-graph vision
+    result = train_smoke(cfg, steps=2, seed=5, stage=stage, classes=2, per_class=1)
+    assert len(calls) == 2
+    stats = result.model.last_routing_stats
+    got_stats = None if stats is None else [(s.tokens, s.assignments, [repr(p) for p in s.prob_sums]) for s in stats]
+    assert ([repr(v) for v in result.losses], got_stats) == _SMOKE_PINS["dense" if moe is None else "moe"]
+
+
 def test_probe_checks_candidates_that_share_a_context():
     model = FusedModel(tiny_config(), seed=2)
     patches = rand_images(model, 1, 3)[0]
@@ -489,8 +554,9 @@ def _edit_head_data(edit):
         lambda lines: lines[:-1],  # no trailing end line
         lambda lines: [line for line in lines if not line.startswith("config h_llm=")],
         lambda lines: [line.replace("config heads=2", "config heads=0") for line in lines],
+        lambda lines: [line.replace("config moe.enabled=0", "config moe.enabled=true") for line in lines],
     ],
-    ids=["short_data", "nan", "no_end", "missing_config_key", "zero_heads"],
+    ids=["short_data", "nan", "no_end", "missing_config_key", "zero_heads", "flag_not_0_or_1"],
 )
 def test_checkpoint_rejects_malformed(tmp_path, corrupt):
     path = tmp_path / "model.ckpt"
@@ -619,7 +685,7 @@ def test_decoder_block_matches_loop_oracle():
     x = Tensor.randn((4, 8), derive_seed(17, "x"))
     g = Graph()
     nodes = model.param_nodes(g)
-    out = model._decoder_block(g, g.leaf(x), 0, self_mask, nodes).t
+    out = block(g, g.param(x), nodes, "llm.block0.", model.cfg.heads, self_mask).t
     p = {
         name.removeprefix("llm.block0."): model.params[name].tolist()
         for name in model.params

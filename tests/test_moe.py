@@ -96,7 +96,7 @@ def test_route_full_k_is_full_softmax():
     idx, gates = route(x, bank)
     assert idx == [0, 1, 2, 3]
     g = Graph()
-    logits = g.matmul(g.leaf(x), g.leaf(bank.router))
+    logits = g.matmul(g.param(x), g.param(bank.router))
     full = g.softmax_masked(logits, [[True] * 4]).t.data
     assert gates == full
 
@@ -272,7 +272,7 @@ def test_aux_loss_node_matches_plain_value():
     stats = RoutingStats(4, prob_nodes=[])
     g = Graph()
     nodes = {name: g.param(t) for name, t in bank.param_items()}
-    moe_forward_nodes(g, g.leaf(x), bank, nodes, stats=stats)
+    moe_forward_nodes(g, g.param(x), bank, nodes, stats=stats)
     node_val = aux_loss_node(g, stats).t.item()
     assert abs(node_val - aux_load_balance_loss(stats)) < 1e-12
 
@@ -306,12 +306,12 @@ def test_moe_behind_ffn_gate_preserves_gate_zero_identity():
     hidden = Tensor.randn((2, 4), derive_seed(72, "hidden"))
     feats = Tensor.randn((2, 3), derive_seed(72, "feats"))
     g = Graph()
-    nodes = {n: g.leaf(t) for n, t in layer.params.items()}
-    bank_nodes = {n: g.leaf(t) for n, t in bank.param_items()}
-    kv = build_padded_kv(g, [g.leaf(feats)], pad_len=1, d_img=3)
+    nodes = {n: g.param(t) for n, t in layer.params.items()}
+    bank_nodes = {n: g.param(t) for n, t in bank.param_items()}
+    kv = build_padded_kv(g, [g.param(feats)], pad_len=1, d_img=3)
     out = layer.forward_nodes(
         g,
-        g.leaf(hidden),
+        g.param(hidden),
         kv,
         mask,
         nodes,

@@ -56,14 +56,14 @@ def test_matmul_identity_3x3():
     x = Tensor.from_rows(rand_matrix(rng, 3, 3))
     eye = Tensor.from_rows([[1.0 if i == j else 0.0 for j in range(3)] for i in range(3)])
     g = Graph()
-    out = g.matmul(g.leaf(eye), g.leaf(x))
+    out = g.matmul(g.param(eye), g.param(x))
     assert out.t.data == x.data
 
 
 def test_matmul_2x2_example():
     g = Graph()
-    a = g.leaf(Tensor.from_rows([[1, 2], [3, 4]]))
-    i2 = g.leaf(Tensor.from_rows([[1, 0], [0, 1]]))
+    a = g.param(Tensor.from_rows([[1, 2], [3, 4]]))
+    i2 = g.param(Tensor.from_rows([[1, 0], [0, 1]]))
     assert g.matmul(a, i2).t.tolist() == [[1, 2], [3, 4]]
 
 
@@ -72,7 +72,7 @@ def test_matmul_against_triple_loop_oracle():
     a = rand_matrix(rng, 4, 5)
     b = rand_matrix(rng, 5, 3)
     g = Graph()
-    got = g.matmul(g.leaf(Tensor.from_rows(a)), g.leaf(Tensor.from_rows(b))).t.tolist()
+    got = g.matmul(g.param(Tensor.from_rows(a)), g.param(Tensor.from_rows(b))).t.tolist()
     want = matmul_oracle(a, b)
     assert max(abs(x - y) for gr, wr in zip(got, want) for x, y in zip(gr, wr)) < 1e-12
 
@@ -84,15 +84,15 @@ def test_matmul_randomized_shapes_vs_oracle():
         a = rand_matrix(rng, m, k, 2.0)
         b = rand_matrix(rng, k, n, 2.0)
         g = Graph()
-        got = g.matmul(g.leaf(Tensor.from_rows(a)), g.leaf(Tensor.from_rows(b))).t.tolist()
+        got = g.matmul(g.param(Tensor.from_rows(a)), g.param(Tensor.from_rows(b))).t.tolist()
         want = matmul_oracle(a, b)
         assert max(abs(x - y) for gr, wr in zip(got, want) for x, y in zip(gr, wr)) < 1e-12
 
 
 def test_matmul_shape_mismatch():
     g = Graph()
-    a = g.leaf(Tensor.zeros(2, 3))
-    b = g.leaf(Tensor.zeros(2, 3))
+    a = g.param(Tensor.zeros(2, 3))
+    b = g.param(Tensor.zeros(2, 3))
     with pytest.raises(DimensionError):
         g.matmul(a, b)
 
@@ -102,7 +102,7 @@ def test_matmul_shape_mismatch():
 
 def test_softmax_symmetric_pair():
     g = Graph()
-    out = g.softmax_masked(g.leaf(Tensor.from_rows([[0.0, 0.0]])), [[True, True]])
+    out = g.softmax_masked(g.param(Tensor.from_rows([[0.0, 0.0]])), [[True, True]])
     assert out.t.data == [0.5, 0.5]
 
 
@@ -111,13 +111,13 @@ def test_softmax_single_allowed_key():
     for _ in range(10):
         x, y = rng.uniform(-50, 50), rng.uniform(-50, 50)
         g = Graph()
-        out = g.softmax_masked(g.leaf(Tensor.from_rows([[x, y]])), [[True, False]])
+        out = g.softmax_masked(g.param(Tensor.from_rows([[x, y]])), [[True, False]])
         assert out.t.data == [1.0, 0.0]
 
 
 def test_softmax_matches_direct_arithmetic():
     g = Graph()
-    out = g.softmax_masked(g.leaf(Tensor.from_rows([[1.0, 2.0, 3.0]])), [[True] * 3])
+    out = g.softmax_masked(g.param(Tensor.from_rows([[1.0, 2.0, 3.0]])), [[True] * 3])
     want = softmax_oracle([1.0, 2.0, 3.0], [True] * 3)
     assert max(abs(a - b) for a, b in zip(out.t.data, want)) < 1e-12
 
@@ -132,7 +132,7 @@ def test_softmax_rows_sum_to_one_and_masked_zero():
             if not any(row):
                 row[rng.randrange(k)] = True
         g = Graph()
-        out = g.softmax_masked(g.leaf(Tensor.from_rows(scores)), mask).t
+        out = g.softmax_masked(g.param(Tensor.from_rows(scores)), mask).t
         for i in range(q):
             row = out.row(i)
             assert abs(sum(row) - 1.0) <= 1e-12
@@ -144,7 +144,7 @@ def test_softmax_rows_sum_to_one_and_masked_zero():
 def test_softmax_fully_masked_row_rejected():
     g = Graph()
     with pytest.raises(ContractViolationError):
-        g.softmax_masked(g.leaf(Tensor.from_rows([[1.0, 2.0]])), [[False, False]])
+        g.softmax_masked(g.param(Tensor.from_rows([[1.0, 2.0]])), [[False, False]])
 
 
 # -- cross_entropy ------------------------------------------------------------
@@ -153,13 +153,13 @@ def test_softmax_fully_masked_row_rejected():
 def test_cross_entropy_confident_correct():
     logits = [[100.0, 0.0, 0.0], [0.0, 100.0, 0.0]]
     g = Graph()
-    loss = g.cross_entropy(g.leaf(Tensor.from_rows(logits)), [0, 1], [True, True])
+    loss = g.cross_entropy(g.param(Tensor.from_rows(logits)), [0, 1], [True, True])
     assert loss.t.item() < 1e-10
 
 
 def test_cross_entropy_uniform_is_log_v():
     g = Graph()
-    loss = g.cross_entropy(g.leaf(Tensor.zeros(2, 4)), [1, 3], [True, True])
+    loss = g.cross_entropy(g.param(Tensor.zeros(2, 4)), [1, 3], [True, True])
     assert abs(loss.t.item() - math.log(4)) < 1e-12
 
 
@@ -169,20 +169,20 @@ def test_cross_entropy_matches_log_softmax_oracle():
     targets = [rng.randrange(5) for _ in range(3)]
     mask = [True, False, True]
     g = Graph()
-    loss = g.cross_entropy(g.leaf(Tensor.from_rows(logits)), targets, mask)
+    loss = g.cross_entropy(g.param(Tensor.from_rows(logits)), targets, mask)
     assert abs(loss.t.item() - cross_entropy_oracle(logits, targets, mask)) < 1e-10
 
 
 def test_cross_entropy_all_masked_rejected():
     g = Graph()
     with pytest.raises(ContractViolationError):
-        g.cross_entropy(g.leaf(Tensor.zeros(2, 3)), [0, 0], [False, False])
+        g.cross_entropy(g.param(Tensor.zeros(2, 3)), [0, 0], [False, False])
 
 
 def test_cross_entropy_target_out_of_range():
     g = Graph()
     with pytest.raises(ContractViolationError):
-        g.cross_entropy(g.leaf(Tensor.zeros(1, 3)), [3], [True])
+        g.cross_entropy(g.param(Tensor.zeros(1, 3)), [3], [True])
 
 
 # -- layer_norm ----------------------------------------------------------------
@@ -206,9 +206,9 @@ def test_layer_norm_matches_oracle():
     bias = [rng.uniform(-0.5, 0.5) for _ in range(6)]
     g = Graph()
     out = g.layer_norm(
-        g.leaf(Tensor.from_rows(rows)),
-        g.leaf(Tensor.from_rows([gain])),
-        g.leaf(Tensor.from_rows([bias])),
+        g.param(Tensor.from_rows(rows)),
+        g.param(Tensor.from_rows([gain])),
+        g.param(Tensor.from_rows([bias])),
     )
     want = layer_norm_oracle(rows, gain, bias)
     assert max(abs(a - b) for gr, wr in zip(out.t.tolist(), want) for a, b in zip(gr, wr)) < 1e-12
@@ -221,7 +221,7 @@ def test_transpose_reshape_roundtrip():
     rng = random.Random(2)
     x = Tensor.from_rows(rand_matrix(rng, 3, 5))
     g = Graph()
-    n = g.leaf(x)
+    n = g.param(x)
     assert g.transpose(g.transpose(n)).t.data == x.data
     assert g.reshape(g.reshape(n, (5, 3)), (3, 5)).t.data == x.data
 
@@ -229,18 +229,18 @@ def test_transpose_reshape_roundtrip():
 def test_row_select_repeats_and_col_select():
     x = Tensor.from_rows([[1, 2, 3], [4, 5, 6]])
     g = Graph()
-    n = g.leaf(x)
+    n = g.param(x)
     assert g.row_select(n, [1, 0, 1]).t.tolist() == [[4, 5, 6], [1, 2, 3], [4, 5, 6]]
     assert g.col_select(n, [2, 0]).t.tolist() == [[3, 1], [6, 4]]
 
 
 def test_concat_rows_and_cols():
     g = Graph()
-    a = g.leaf(Tensor.from_rows([[1, 2]]))
-    b = g.leaf(Tensor.from_rows([[3, 4], [5, 6]]))
+    a = g.param(Tensor.from_rows([[1, 2]]))
+    b = g.param(Tensor.from_rows([[3, 4], [5, 6]]))
     assert g.concat_rows([a, b]).t.tolist() == [[1, 2], [3, 4], [5, 6]]
-    c = g.leaf(Tensor.from_rows([[7], [8]]))
-    d = g.leaf(Tensor.from_rows([[9, 10], [11, 12]]))
+    c = g.param(Tensor.from_rows([[7], [8]]))
+    d = g.param(Tensor.from_rows([[9, 10], [11, 12]]))
     assert g.concat_cols([c, d]).t.tolist() == [[7, 9, 10], [8, 11, 12]]
 
 
@@ -363,7 +363,7 @@ def test_non_finite_rejected():
     with pytest.raises(NonFiniteError):
         Tensor((1, 2), [1.0, float("nan")])
     g = Graph()
-    big = g.leaf(Tensor.full((1, 1), 1e308))
+    big = g.param(Tensor.full((1, 1), 1e308))
     with pytest.raises(NonFiniteError):
         g.mul(big, big)
 
@@ -387,7 +387,7 @@ def test_pipeline_determinism_bit_identical():
         w = Tensor.randn((4, 4), derive_seed(42, "w"))
         g = Graph()
         nw = g.param(w)
-        out = g.gelu(g.matmul(g.leaf(t), nw))
+        out = g.gelu(g.matmul(g.param(t), nw))
         out = g.softmax_masked(out, [[True] * 4 for _ in range(3)])
         g.backward(g.sum_all(g.mul(out, out)))
         return out.t.data, g.grad(nw).data
