@@ -8,9 +8,13 @@ from typing import Mapping
 from .numerics import Graph, Init, Node, Tensor
 
 
-def ffn(g: Graph, x: Node, w_in: Node, w_out: Node) -> Node:
-    """Bias-free two-matrix FFN: expand, exact gelu, contract."""
-    return g.matmul(g.gelu(g.matmul(x, w_in)), w_out)
+def ffn(g: Graph, x: Node, w_in: Node, w_out: Node, per_row_grads: bool = False) -> Node:
+    """Bias-free two-matrix FFN: expand, exact gelu, contract. With
+    per_row_grads the weight gradients are added one row of x at a time
+    (Graph.matmul_rows), as a stack of MoE tokens needs to match one FFN per
+    token bit for bit."""
+    mm = g.matmul_rows if per_row_grads else g.matmul
+    return mm(g.gelu(mm(x, w_in)), w_out)
 
 
 def block_params(init: Init, name: str, d: int, hidden: int) -> dict[str, Tensor]:

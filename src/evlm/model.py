@@ -4,8 +4,10 @@ training loop, and the loss-argmin classification probe."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping, Sequence
 
@@ -262,6 +264,10 @@ class FusedModel:
             raise DimensionError(f"sequence length {n} exceeds max_seq {self.cfg.max_seq}")
         if any(isinstance(e, Text) and not 0 <= e.token < self.cfg.vocab for e in seq.elements):
             raise SequenceError("token id outside vocabulary")
+        if seq.num_images and seq.media_len != self.cfg.media_len:
+            raise SequenceError(
+                f"stream has {seq.media_len} media slots per image, the model {self.cfg.media_len}"
+            )
 
     def _embed_stream(self, g: Graph, seq: InterleavedSequence, nodes: Mapping[str, Node]) -> Node:
         """Token and media-slot embeddings in one gather from the stacked
@@ -561,7 +567,11 @@ def _config_from_pairs(kv: Mapping[str, str]) -> ModelConfig:
 
 def save_checkpoint(model: FusedModel, path: str) -> None:
     """Flat text manifest: version, config echo, metadata, then per-parameter
-    group, name, shape, and repr'd float data (bit-exact round trip)."""
+    group, name, shape, and repr'd float data (bit-exact round trip).
+
+    Written to a temporary file in the same directory and renamed over path,
+    so a write that fails partway leaves any previous checkpoint at path as it
+    was and removes the temporary file."""
     lines = [CHECKPOINT_MAGIC]
     lines.extend(f"config {k}={v}" for k, v in _config_pairs(model.cfg))
     lines.extend(f"meta {k}={v}" for k, v in sorted(model.meta.items()))
@@ -571,8 +581,15 @@ def save_checkpoint(model: FusedModel, path: str) -> None:
         lines.append(f"param {model.group_of[name]} {name} {shape}")
         lines.append(" ".join(repr(v) for v in t.data))
     lines.append("end")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> FusedModel:

@@ -167,37 +167,69 @@ def moe_forward_nodes(
     Differentiable through the selected gates and every active expert; the
     hard selection itself is treated as locally constant. unit_gates is a
     test hook that skips gate renormalization (every selected gate is 1).
+
+    Grouped dispatch: all tokens of x are routed at once (one router matmul,
+    one top-k pass, one gate softmax), each active expert runs one FFN on the
+    stacked rows of the tokens that chose it, the world expert one FFN on all
+    rows, and row t of the output is ((slot 0 + slot 1) + ...) + world. Values
+    and gradients are bit-identical to running the tokens one at a time:
+    matmuls and softmaxes act row by row; the weight gradients are added one
+    row at a time, last row first (Graph.matmul_rows), as one call per token
+    added them; and the consumers of the gathered rows xs are created in the
+    order router, experts by ascending index, world, so each token's input
+    gradient sums world, chosen experts highest first, router.
     """
     cfg = bank.cfg
     n_tok, h = x.t.shape
     if h != bank.router.shape[0]:
         raise DimensionError(f"token width {h} != router input {bank.router.shape[0]}")
-    router = nodes[f"{prefix}.router"]
-    all_true_k = [[True] * cfg.top_k]
-    out_rows: list[Node] = []
-    for i in range(n_tok):
-        row = g.row_select(x, [i])
-        logits = g.matmul(row, router)  # (1, N*M)
-        chosen = top_k(logits.t.data, cfg.top_k)
-        gates = None if unit_gates else g.softmax_masked(g.col_select(logits, chosen), all_true_k)
-        acc: Node | None = None
-        for slot, ei in enumerate(chosen):
-            out = ffn(g, row, nodes[f"{prefix}.expert{ei}.w_in"], nodes[f"{prefix}.expert{ei}.w_out"])
-            gated = out if gates is None else g.smul(out, g.col_select(gates, [slot]))
-            acc = gated if acc is None else g.add(acc, gated)
-        if cfg.use_world_expert:
-            world = ffn(g, row, nodes[f"{prefix}.world.w_in"], nodes[f"{prefix}.world.w_out"])
-            acc = world if acc is None else g.add(acc, world)
-        out_rows.append(acc)
-        if stats is not None:
-            stats.tokens += 1
-            for ei in chosen:
-                stats.assignments[ei] += 1
-            full = g.softmax_masked(logits, [[True] * cfg.num_experts])
-            for ei in range(cfg.num_experts):
-                stats.prob_sums[ei] += full.t.data[ei]
-            stats.prob_nodes.append(full)
-    return g.concat_rows(out_rows)
+    k, n_exp = cfg.top_k, cfg.num_experts
+    xs = g.row_select(x, range(n_tok))
+    logits = g.matmul_rows(xs, nodes[f"{prefix}.router"])  # (n_tok, N*M)
+    ld = logits.t.data
+    chosen = [top_k(ld[t * n_exp : (t + 1) * n_exp], k) for t in range(n_tok)]
+    members: list[list[tuple[int, int]]] = [[] for _ in range(n_exp)]  # (token, slot) by token
+    for t, experts in enumerate(chosen):
+        for slot, e in enumerate(experts):
+            members[e].append((t, slot))
+    stack = [ts for m in members for ts in m]  # expert outputs stacked by expert, then token
+    outs = [
+        ffn(
+            g,
+            g.row_select(xs, [t for t, _ in m]),
+            nodes[f"{prefix}.expert{e}.w_in"],
+            nodes[f"{prefix}.expert{e}.w_out"],
+            per_row_grads=True,
+        )
+        for e, m in enumerate(members)
+        if m
+    ]
+    gated = g.concat_rows(outs)
+    if not unit_gates:
+        flat = g.reshape(logits, (n_tok * n_exp, 1))
+        picked = g.row_select(flat, [t * n_exp + e for t, experts in enumerate(chosen) for e in experts])
+        gates = g.softmax_masked(g.reshape(picked, (n_tok, k)), [[True] * k] * n_tok)
+        gate_rows = g.row_select(g.reshape(gates, (n_tok * k, 1)), [t * k + slot for t, slot in stack])
+        gated = g.smul(gated, gate_rows)
+    row_of = {ts: r for r, ts in enumerate(stack)}
+    out: Node | None = None
+    for slot in range(k):
+        part = g.row_select(gated, [row_of[t, slot] for t in range(n_tok)])
+        out = part if out is None else g.add(out, part)
+    if cfg.use_world_expert:
+        world = ffn(g, xs, nodes[f"{prefix}.world.w_in"], nodes[f"{prefix}.world.w_out"], per_row_grads=True)
+        out = g.add(out, world)
+    if stats is not None:
+        full = g.softmax_masked(logits, [[True] * n_exp] * n_tok)
+        stats.tokens += n_tok
+        for e, m in enumerate(members):
+            stats.assignments[e] += len(m)
+        fd = full.t.data
+        for t in range(n_tok):
+            for e in range(n_exp):
+                stats.prob_sums[e] += fd[t * n_exp + e]
+        stats.prob_nodes.append(full)
+    return out
 
 
 def moe_forward(

@@ -27,7 +27,13 @@ BoolMatrix = list[list[bool]]
 
 
 def mm_data(a: list[float], m: int, k: int, b: list[float], n: int) -> list[float]:
-    """Row-major (m,k) @ (k,n). Column extraction once, then zip-dot rows."""
+    """Row-major (m,k) @ (k,n). Column extraction once, then zip-dot rows.
+
+    With k == 1 every entry is a one-term dot product: the outer product,
+    where 0.0 + x * y is exactly sum([x * y]) (sum starts from 0, which turns
+    a -0.0 product into 0.0)."""
+    if k == 1:
+        return [0.0 + x * y for x in a for y in b]
     bt = [b[j::n] for j in range(n)]
     out: list[float] = []
     ext = out.extend
@@ -156,6 +162,24 @@ class Graph:
 
         return self._out((m, n), out, bwd)
 
+    def matmul_rows(self, a: Node, b: Node) -> Node:
+        """a @ b (issued through matmul) whose weight gradient dB is added to
+        b one row of a at a time, last row first: the same additions, in the
+        same order, as one matmul per row of a. One A^T @ G would instead sum
+        each entry of dB inside one dot product, in row order, before adding
+        it to b's gradient, which rounds differently."""
+        out = self.matmul(a, b)
+        (m, k), n = a.t.shape, b.t.shape[1]
+        ad, bd = a.t.data, b.t.data
+
+        def bwd(g: list[float], acc) -> None:
+            acc(a, mm_abt_data(g, m, n, bd, k))
+            for i in range(m - 1, -1, -1):
+                acc(b, mm_data(ad[i * k : (i + 1) * k], k, 1, g[i * n : (i + 1) * n], n))
+
+        self._bwd[out.idx] = bwd
+        return out
+
     def add(self, a: Node, b: Node) -> Node:
         if a.t.shape != b.t.shape:
             raise DimensionError(f"add {a.t.shape} + {b.t.shape}")
@@ -201,16 +225,20 @@ class Graph:
         return self._out(a.t.shape, out, bwd)
 
     def smul(self, a: Node, s: Node) -> Node:
-        """Broadcast-multiply by a (1,1) scalar node (used by tanh gates)."""
-        if s.t.size != 1:
-            raise DimensionError(f"smul scalar has shape {s.t.shape}")
-        sv = s.t.data[0]
-        ad = a.t.data
-        out = [sv * x for x in ad]
+        """Broadcast-multiply by a (1,1) scalar node (the tanh gates) or by a
+        (rows,1) column holding one factor per row of a (the MoE gates). The
+        scalar's gradient is one sum over the whole of a, a column entry's
+        one sum over its row."""
+        rows = s.t.rows
+        if s.t.cols != 1 or rows not in (1, a.t.rows):
+            raise DimensionError(f"smul {a.t.shape} by {s.t.shape}")
+        w = a.t.size // rows
+        ad, sd = a.t.data, s.t.data
+        out = [sv * x for r, sv in enumerate(sd) for x in ad[r * w : (r + 1) * w]]
 
         def bwd(g: list[float], acc) -> None:
-            acc(a, [sv * gv for gv in g])
-            acc(s, [sum(map(_opmul, g, ad))])
+            acc(a, [sv * gv for r, sv in enumerate(sd) for gv in g[r * w : (r + 1) * w]])
+            acc(s, [sum(map(_opmul, g[r * w : (r + 1) * w], ad[r * w : (r + 1) * w])) for r in range(rows)])
 
         return self._out(a.t.shape, out, bwd)
 

@@ -506,7 +506,44 @@ def test_probe_checks_candidates_that_share_a_context():
         loss_probe(model, patches, [[0, 1, 2], [0, 1, model.cfg.vocab]])
 
 
+@pytest.mark.parametrize("media_len", [1, 3])
+def test_stream_with_other_media_len_than_the_model_rejected(media_len):
+    model = FusedModel(tiny_config(), seed=2)  # media_len=2
+    seq = insert_media_tokens([ImageMarker(0), 1, 2], media_len=media_len)
+    with pytest.raises(SequenceError) as exc:
+        model.loss(seq, rand_images(model, 1, 3))
+    assert f"{media_len} media slots" in str(exc.value) and "model 2" in str(exc.value)
+
+
 # -- checkpoints ---------------------------------------------------------------------
+
+
+def test_checkpoint_write_failing_partway_keeps_the_previous_file(tmp_path, monkeypatch):
+    import evlm.model
+
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(FusedModel(tiny_config(), seed=1), str(path))
+    before = path.read_bytes()
+
+    class HalfWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(evlm.model, "open", lambda *a, **kw: HalfWrite(open(*a, **kw)), raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(FusedModel(tiny_config(), seed=2), str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

@@ -2,10 +2,12 @@
 
 import math
 import random
+import struct
 
 import pytest
 
 from evlm.errors import ConfigError
+from evlm.layers import ffn
 from evlm.moe import (
     DenseFFN,
     MoEConfig,
@@ -15,6 +17,7 @@ from evlm.moe import (
     moe_forward,
     moe_forward_nodes,
     route,
+    top_k,
     upcycle,
 )
 from evlm.numerics import Graph, Tensor, derive_seed, grad_check
@@ -227,6 +230,117 @@ def test_grad_check_through_router_and_experts():
 
     params = [x] + [t for _, t in bank.param_items()]
     assert grad_check(build, params) < 1e-4
+
+
+# -- grouped dispatch against the per-token loop --------------------------------------
+
+
+def per_token_moe_forward_nodes(g, x, bank, nodes, prefix="moe", stats=None, unit_gates=False):
+    """One token at a time: a row_select, a router matmul and k+1 one-row FFNs
+    per token. The reference that grouped dispatch must match bit for bit."""
+    cfg = bank.cfg
+    all_true_k = [[True] * cfg.top_k]
+    out_rows = []
+    for i in range(x.t.shape[0]):
+        row = g.row_select(x, [i])
+        logits = g.matmul(row, nodes[f"{prefix}.router"])
+        chosen = top_k(logits.t.data, cfg.top_k)
+        gates = None if unit_gates else g.softmax_masked(g.col_select(logits, chosen), all_true_k)
+        acc = None
+        for slot, ei in enumerate(chosen):
+            out = ffn(g, row, nodes[f"{prefix}.expert{ei}.w_in"], nodes[f"{prefix}.expert{ei}.w_out"])
+            gated = out if gates is None else g.smul(out, g.col_select(gates, [slot]))
+            acc = gated if acc is None else g.add(acc, gated)
+        if cfg.use_world_expert:
+            world = ffn(g, row, nodes[f"{prefix}.world.w_in"], nodes[f"{prefix}.world.w_out"])
+            acc = world if acc is None else g.add(acc, world)
+        out_rows.append(acc)
+        if stats is not None:
+            stats.tokens += 1
+            for ei in chosen:
+                stats.assignments[ei] += 1
+            full = g.softmax_masked(logits, [[True] * cfg.num_experts])
+            for ei in range(cfg.num_experts):
+                stats.prob_sums[ei] += full.t.data[ei]
+            stats.prob_nodes.append(full)
+    return g.concat_rows(out_rows)
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def random_bank(cfg, router, seed=31):
+    """A bank whose experts all differ (upcycled replicas would be equal)."""
+    bank = upcycle(make_dense(h=6, hidden=8, seed=seed), cfg)
+    sw = 8 // cfg.segments
+    bank.experts = [DenseFFN.init(6, sw, derive_seed(seed, f"e{i}")) for i in range(cfg.num_experts)]
+    if router == "random":
+        bank.router = Tensor.randn((6, cfg.num_experts), derive_seed(seed, "router"), 0.8)
+    return bank
+
+
+def moe_run(forward, bank, inputs, unit_gates):
+    """Each input through `forward` in one graph sharing the bank's parameter
+    nodes, plus a residual (so each input has a second consumer), a weighted
+    sum and the aux loss; returns everything the backward pass reaches."""
+    g = Graph()
+    nodes = {name: g.param(t) for name, t in bank.param_items()}
+    xs = [g.param(x) for x in inputs]
+    stats = RoutingStats(bank.cfg.num_experts)
+    loss = None
+    outs = []
+    for i, x in enumerate(xs):
+        out = g.add(x, forward(g, x, bank, nodes, stats=stats, unit_gates=unit_gates))
+        outs.append(out.t.data)
+        w = g.constant(Tensor.randn(out.t.shape, derive_seed(i, "weights")))
+        term = g.sum_all(g.mul(out, w))
+        loss = term if loss is None else g.add(loss, term)
+    aux = aux_loss_node(g, stats)
+    g.backward(g.add(loss, g.scale(aux, 0.1)))
+    return {
+        "outputs": [bits(o) for o in outs],
+        "param_grads": {name: bits(g.grad(n).data) for name, n in nodes.items()},
+        "input_grads": [bits(g.grad(x).data) for x in xs],
+        "aux": bits(aux.t.data),
+        "stats": (stats.tokens, stats.assignments, bits(stats.prob_sums)),
+    }
+
+
+@pytest.mark.parametrize(
+    "cfg_kwargs,router,unit_gates,token_counts",
+    [
+        (dict(top_k=2), "zero", False, (5,)),
+        (dict(top_k=2), "random", False, (5,)),
+        (dict(top_k=1), "random", False, (6,)),
+        (dict(top_k=4), "random", False, (4,)),
+        (dict(top_k=2, use_world_expert=False), "random", False, (5,)),
+        (dict(top_k=3), "random", True, (5,)),
+        (dict(top_k=2), "random", False, (1,)),
+        (dict(top_k=2), "random", False, (5, 3)),
+    ],
+    ids=["zero_router_ties", "random_router", "top_k_1", "top_k_all", "no_world", "unit_gates",
+         "one_token", "two_calls_share_params"],
+)
+def test_grouped_dispatch_is_bit_identical_to_the_per_token_loop(cfg_kwargs, router, unit_gates, token_counts):
+    bank = random_bank(MoEConfig(n_replicas=2, segments=2, **cfg_kwargs), router)
+    inputs = [Tensor.randn((n, 6), derive_seed(n + 10 * i, "tokens")) for i, n in enumerate(token_counts)]
+    want = moe_run(per_token_moe_forward_nodes, bank, inputs, unit_gates)
+    got = moe_run(moe_forward_nodes, bank, inputs, unit_gates)
+    assert got == want
+
+
+@pytest.mark.parametrize("use_world_expert", [True, False])
+@pytest.mark.parametrize("n_tok", [1, 3, 9])
+def test_one_call_issues_one_matmul_per_router_expert_weight(monkeypatch, use_world_expert, n_tok):
+    bank = random_bank(MoEConfig(n_replicas=2, segments=2, top_k=2, use_world_expert=use_world_expert), "random")
+    calls = []
+    matmul = Graph.matmul
+    monkeypatch.setattr(Graph, "matmul", lambda g, a, b: calls.append(1) or matmul(g, a, b))
+    stats = RoutingStats(bank.cfg.num_experts)
+    moe_forward(Tensor.randn((n_tok, 6), derive_seed(n_tok, "tokens")), bank, stats=stats)
+    active = sum(1 for a in stats.assignments if a)
+    assert len(calls) == 1 + 2 * active + 2 * use_world_expert
 
 
 # -- aux loss ----------------------------------------------------------------------

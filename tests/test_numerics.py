@@ -2,11 +2,14 @@
 
 import math
 import random
+import struct
+from operator import mul
 
 import pytest
 
 from evlm.errors import ContractViolationError, DimensionError, NonFiniteError
 from evlm.numerics import Graph, Tensor, derive_seed, grad_check
+from evlm.numerics.graph import mm_data
 
 
 # -- oracles ----------------------------------------------------------------
@@ -87,6 +90,48 @@ def test_matmul_randomized_shapes_vs_oracle():
         got = g.matmul(g.param(Tensor.from_rows(a)), g.param(Tensor.from_rows(b))).t.tolist()
         want = matmul_oracle(a, b)
         assert max(abs(x - y) for gr, wr in zip(got, want) for x, y in zip(gr, wr)) < 1e-12
+
+
+def general_mm_data(a, m, k, b, n):
+    """mm_data's loop for every inner dimension: the reference for its k == 1 path."""
+    bt = [b[j::n] for j in range(n)]
+    out = []
+    for i in range(m):
+        row = a[i * k : (i + 1) * k]
+        out.extend([sum(map(mul, row, col)) for col in bt])
+    return out
+
+
+def test_mm_data_inner_dimension_one_is_bit_identical_to_the_general_loop():
+    rng = random.Random(5)
+    pool = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e150, -1e-300]
+    for _ in range(200):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        a = [rng.choice(pool) if rng.random() < 0.4 else rng.uniform(-3, 3) for _ in range(m)]
+        b = [rng.choice(pool) if rng.random() < 0.4 else rng.uniform(-3, 3) for _ in range(n)]
+        got, want = mm_data(a, m, 1, b, n), general_mm_data(a, m, 1, b, n)
+        assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
+
+
+def test_matmul_rows_matches_one_matmul_per_row_bit_for_bit():
+    rng = random.Random(6)
+    a = Tensor.from_rows(rand_matrix(rng, 5, 3))
+    w = Tensor.from_rows(rand_matrix(rng, 3, 4))
+    up = Tensor.from_rows(rand_matrix(rng, 5, 4))
+
+    def grads(grouped):
+        g = Graph()
+        na, nw = g.param(a), g.param(w)
+        pre = g.matmul(g.constant(up), g.transpose(nw))  # w also has a consumer outside the rows
+        if grouped:
+            out = g.matmul_rows(na, nw)
+        else:
+            out = g.concat_rows([g.matmul(g.row_select(na, [i]), nw) for i in range(5)])
+        g.backward(g.add(g.sum_all(g.mul(out, g.constant(up))), g.sum_all(g.mul(pre, pre))))
+        return out.t.data, g.grad(na).data, g.grad(nw).data
+
+    assert grads(True) == grads(False)
+    assert [struct.pack("<d", v) for v in grads(True)[2]] == [struct.pack("<d", v) for v in grads(False)[2]]
 
 
 def test_matmul_shape_mismatch():
@@ -264,11 +309,13 @@ def test_grad_check_quadratic():
     "opname",
     [
         "matmul",
+        "matmul_rows",
         "add",
         "sub",
         "mul",
         "scale",
         "smul",
+        "smul_column",
         "tanh",
         "gelu",
         "layer_norm",
@@ -295,6 +342,8 @@ def test_grad_check_each_op(opname):
         na, nb, nw, ns, ng, nbias = nodes
         if opname == "matmul":
             out = g.matmul(na, nb)
+        elif opname == "matmul_rows":
+            out = g.matmul_rows(na, nb)
         elif opname == "add":
             out = g.add(na, nw)
         elif opname == "sub":
@@ -305,6 +354,8 @@ def test_grad_check_each_op(opname):
             out = g.scale(na, -1.7)
         elif opname == "smul":
             out = g.smul(na, ns)
+        elif opname == "smul_column":
+            out = g.smul(na, g.col_select(nw, [0]))
         elif opname == "tanh":
             out = g.tanh(na)
         elif opname == "gelu":
