@@ -76,10 +76,6 @@ def flops_full_attention_exact(sc: FlopsScenario) -> Fraction:
     return 24 * b * s * h**2 + 4 * b * s**2 * h
 
 
-def flops_full_attention(sc: FlopsScenario) -> float:
-    return float(flops_full_attention_exact(sc))
-
-
 def flops_cross_attention_terms_exact(
     sc: FlopsScenario,
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -102,15 +98,6 @@ def flops_cross_attention_exact(sc: FlopsScenario) -> Fraction:
     return t1 + t2 + t3 + t4
 
 
-def flops_cross_attention(sc: FlopsScenario) -> float:
-    return float(flops_cross_attention_exact(sc))
-
-
-def cross_attention_terms(sc: FlopsScenario) -> tuple[float, float, float, float]:
-    t1, t2, t3, t4 = flops_cross_attention_terms_exact(sc)
-    return float(t1), float(t2), float(t3), float(t4)
-
-
 def ratio(sc: FlopsScenario, preset_name: str | None = None) -> FlopsReport:
     """S = cross / full plus the term breakdown; errors on a zero denominator."""
     full = flops_full_attention_exact(sc)
@@ -122,7 +109,7 @@ def ratio(sc: FlopsScenario, preset_name: str | None = None) -> FlopsReport:
         flops_full=float(full),
         flops_cross=float(cross),
         ratio=float(cross / full),
-        terms=cross_attention_terms(sc),
+        terms=tuple(float(t) for t in flops_cross_attention_terms_exact(sc)),
         preset_name=preset_name,
         reference_ratio=REFERENCE_S.get(preset_name) if preset_name else None,
     )
@@ -137,10 +124,6 @@ def preset(name: str) -> FlopsScenario:
     if name == "continual":
         return FlopsScenario(batch=1, s_img=1024, s_txt=64, h_llm=5120, d_img=1792)
     raise ConfigError(f"unknown preset {name!r} (expected 'pretrain' or 'continual')")
-
-
-def preset_report(name: str) -> FlopsReport:
-    return ratio(preset(name), preset_name=name)
 
 
 # -- rendering ------------------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DimensionError, SequenceError
-from .layers import ffn
+from .layers import attention, ffn
 from .numerics import Graph, Init, Node, Tensor, seeded_init
 
 MEDIA_LEN_DEFAULT = 16  # learnable tokens inserted per image
@@ -48,6 +48,8 @@ class InterleavedSequence:
     num_images: int = 0
 
     def __post_init__(self):
+        if self.media_len < 1:
+            raise SequenceError(f"media_len must be >= 1, got {self.media_len}")
         runs: list[int] = []
         pos = 0
         n = len(self.elements)
@@ -178,14 +180,11 @@ def format_mask_dump(allow: Sequence[Sequence[bool]], pad_len: int, mode: str) -
 # -- gated cross-attention layer -------------------------------------------------
 
 
-def _round_half_up(x: float) -> int:
-    return int(x + 0.5)
-
-
 def branch_widths(h_llm: int, r_xc: float, r_xf: float) -> tuple[int, int]:
-    """(attention inner width, FFN hidden width); both must round to >= 1."""
-    a = _round_half_up(r_xc * h_llm)
-    f = _round_half_up(r_xf * h_llm)
+    """(attention inner width, FFN hidden width), each r * h_llm rounded half
+    up; both must round to >= 1."""
+    a = int(r_xc * h_llm + 0.5)
+    f = int(r_xf * h_llm + 0.5)
     if a < 1 or f < 1:
         raise ConfigError(f"branch widths round to ({a}, {f}); need >= 1")
     return a, f
@@ -211,8 +210,6 @@ class GatedXAttn:
     ):
         init = init or seeded_init(seed)
         a, f = branch_widths(h_llm, r_xc, r_xf)
-        self.attn_width = a
-        self.ffn_width = f
 
         def w(name: str, shape: tuple[int, int], std: float) -> Tensor:
             return init(shape, f"{prefix}.{name}", std)
@@ -252,27 +249,14 @@ class GatedXAttn:
             )
         if mask.cols != kv.t.rows:
             raise DimensionError(f"mask has {mask.cols} columns for {kv.t.rows} key rows")
-        q = g.matmul(hidden, nodes["wq"])
-        k = g.matmul(kv, nodes["wk"])
-        v = g.matmul(kv, nodes["wv"])
-        scores = g.scale(g.matmul(q, g.transpose(k)), self.attn_width**-0.5)
-        attn = g.matmul(g.matmul(g.softmax_masked(scores, mask.allow), v), nodes["wo"])
+        attn = attention(g, hidden, kv, nodes["wq"], nodes["wk"], nodes["wv"], nodes["wo"], 1, mask.allow)
         h1 = g.add(hidden, g.smul(attn, g.tanh(nodes["alpha_attn"])))
         if ffn_branch is None:
             ffn_branch = self.dense_ffn_branch(g, nodes)
         return g.add(h1, g.smul(ffn_branch(h1), g.tanh(nodes["alpha_ffn"])))
 
-    def forward(
-        self, hidden: Tensor, kv: Tensor, mask: CrossMask, ffn_branch=None
-    ) -> Tensor:
-        g = Graph()
-        nodes = {name: g.param(t) for name, t in self.params.items()}
-        return self.forward_nodes(g, g.param(hidden), g.param(kv), mask, nodes, ffn_branch).t
-
 
 def build_padded_kv(g: Graph, taps: Sequence[Node], pad_len: int, d_img: int) -> Node:
     """Stack one tap per image and append pad_len all-zero key/value rows."""
-    if pad_len <= 0:
-        raise ConfigError("pad_len must be positive")
     pad = g.constant(Tensor.zeros(pad_len, d_img))
     return g.concat_rows([*taps, pad])

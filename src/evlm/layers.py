@@ -1,5 +1,6 @@
-"""The pre-norm transformer block and the gelu FFN shared by the vision
-encoder, the decoder, the gated cross-attention layer and the MoE experts."""
+"""The masked attention, the pre-norm transformer block and the gelu FFN
+shared by the vision encoder, the decoder, the gated cross-attention layer
+and the MoE experts."""
 
 from __future__ import annotations
 
@@ -28,16 +29,14 @@ def block_params(init: Init, name: str, d: int, hidden: int) -> dict[str, Tensor
     return p
 
 
-def block(
-    g: Graph, x: Node, nodes: Mapping[str, Node], prefix: str, heads: int, mask: list[list[bool]]
+def attention(
+    g: Graph, xq: Node, xkv: Node, wq: Node, wk: Node, wv: Node, wo: Node, heads: int, mask: list[list[bool]]
 ) -> Node:
-    """x + attention(LN1(x)), then + FFN(LN2(.)), with the block's parameters
-    at nodes[prefix + local name]. With heads > 1, q, k and v are split into
-    equal column slices, each head attends on its own, and the head outputs
-    are concatenated before the output projection."""
-    p = lambda name: nodes[prefix + name]
-    hn = g.layer_norm(x, p("ln1.gain"), p("ln1.bias"))
-    q, k, v = (g.matmul(hn, p(w)) for w in ("wq", "wk", "wv"))
+    """Masked softmax attention of xq's rows over xkv's rows, then the output
+    projection wo. With heads > 1, q, k and v are split into equal column
+    slices, each head attends on its own, and the head outputs are
+    concatenated before wo."""
+    q, k, v = g.matmul(xq, wq), g.matmul(xkv, wk), g.matmul(xkv, wv)
     hd = q.t.cols // heads
     heads_out = []
     for head in range(heads):
@@ -46,5 +45,15 @@ def block(
         probs = g.softmax_masked(g.scale(g.matmul(qh, g.transpose(kh)), hd**-0.5), mask)
         heads_out.append(g.matmul(probs, vh))
     merged = heads_out[0] if heads == 1 else g.concat_cols(heads_out)
-    x = g.add(x, g.matmul(merged, p("wo")))
+    return g.matmul(merged, wo)
+
+
+def block(
+    g: Graph, x: Node, nodes: Mapping[str, Node], prefix: str, heads: int, mask: list[list[bool]]
+) -> Node:
+    """x + attention(LN1(x)) over LN1(x) itself, then + FFN(LN2(.)), with the
+    block's parameters at nodes[prefix + local name]."""
+    p = lambda name: nodes[prefix + name]
+    hn = g.layer_norm(x, p("ln1.gain"), p("ln1.bias"))
+    x = g.add(x, attention(g, hn, hn, p("wq"), p("wk"), p("wv"), p("wo"), heads, mask))
     return g.add(x, ffn(g, g.layer_norm(x, p("ln2.gain"), p("ln2.bias")), p("w_in"), p("w_out")))

@@ -156,7 +156,6 @@ class FusedModel:
     def __init__(self, cfg: ModelConfig, seed: int, init: Init | None = None):
         init = init or seeded_init(seed)
         self.cfg = cfg
-        self.seed = seed
         h, v = cfg.h_llm, cfg.vocab
         self.vision = VisionEncoder(cfg.encoder, seed, prefix="vision", init=init)
         self.tap_assignment = assign_taps_to_xattn(cfg.encoder.num_taps, cfg.llm_layers)
@@ -228,12 +227,6 @@ class FusedModel:
     def param_nodes(self, g: Graph) -> dict[str, Node]:
         return {name: g.param(t) for name, t in self.params.items()}
 
-    def groups(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {group: [] for group in ALL_GROUPS}
-        for name, group in self.group_of.items():
-            out[group].append(name)
-        return out
-
     # -- forward -----------------------------------------------------------
 
     def encode_images(
@@ -245,15 +238,11 @@ class FusedModel:
             for name, node in nodes.items()
             if name.startswith("vision.")
         }
-        taps = []
-        for patches in images:
-            feats = self.vision.encode_nodes(g, g.constant(patches), vision_nodes)
-            taps.append(feats.taps)
-        return taps
+        return [self.vision.encode_nodes(g, g.constant(patches), vision_nodes) for patches in images]
 
     def encode_images_tensors(self, images: Sequence[Tensor]) -> list[list[Tensor]]:
         """Frozen-vision fast path: encode once outside any training graph."""
-        return [self.vision.encode(p).taps for p in images]
+        return [self.vision.encode(p) for p in images]
 
     def _check_stream(self, seq: InterleavedSequence) -> None:
         """The input checks every forward applies to its stream."""
@@ -285,49 +274,45 @@ class FusedModel:
         seq: InterleavedSequence,
         taps: Sequence[Sequence[Node]],
         nodes: Mapping[str, Node],
-        text_only: bool = False,
         moe_stats: dict[int, RoutingStats] | None = None,
     ) -> Node:
         """Logits over the interleaved stream; taps is one tap list per image
-        (already nodes of g), ignored when text_only."""
+        (already nodes of g)."""
         cfg = self.cfg
-        if not text_only and len(taps) != seq.num_images:
+        if len(taps) != seq.num_images:
             raise DimensionError(f"{seq.num_images} images in sequence, {len(taps)} tap lists")
         x = self._embed_stream(g, seq, nodes)
         self_mask = build_self_mask(seq)
-        if not text_only:
-            builder = build_cross_mask_image if cfg.mask_mode == "image" else build_cross_mask_video
-            cross_mask = builder(seq, cfg.encoder.patch_count, cfg.pad_len)
-            kv_cache: dict[int, Node] = {}
+        builder = build_cross_mask_image if cfg.mask_mode == "image" else build_cross_mask_video
+        cross_mask = builder(seq, cfg.encoder.patch_count, cfg.pad_len)
+        kv_cache: dict[int, Node] = {}
         for t in range(cfg.llm_layers):
-            if not text_only:
-                j = self.tap_assignment[t]
-                if j not in kv_cache:
-                    kv_cache[j] = build_padded_kv(
-                        g, [img_taps[j] for img_taps in taps], cfg.pad_len, cfg.encoder.feature_dim
-                    )
-                layer = self.xattn_layers[t]
-                prefix = f"xattn.{t}."
-                lnodes = {name: nodes[prefix + name] for name in layer.params}
-                ffn_branch = None
-                if self.banks is not None:
-                    bank = self.banks[t]
-                    stats = None
-                    if moe_stats is not None:  # shared across samples in one graph
-                        stats = moe_stats.setdefault(t, RoutingStats(bank.cfg.num_experts))
-                    ffn_branch = functools.partial(
-                        moe_forward_nodes, g, bank=bank, nodes=nodes, prefix=prefix + "moe", stats=stats
-                    )
-                x = layer.forward_nodes(g, x, kv_cache[j], cross_mask, lnodes, ffn_branch=ffn_branch)
+            j = self.tap_assignment[t]
+            if j not in kv_cache:
+                kv_cache[j] = build_padded_kv(
+                    g, [img_taps[j] for img_taps in taps], cfg.pad_len, cfg.encoder.feature_dim
+                )
+            layer = self.xattn_layers[t]
+            prefix = f"xattn.{t}."
+            lnodes = {name: nodes[prefix + name] for name in layer.params}
+            ffn_branch = None
+            if self.banks is not None:
+                bank = self.banks[t]
+                stats = None
+                if moe_stats is not None:  # shared across samples in one graph
+                    stats = moe_stats.setdefault(t, RoutingStats(bank.cfg.num_experts))
+                ffn_branch = functools.partial(
+                    moe_forward_nodes, g, bank=bank, nodes=nodes, prefix=prefix + "moe", stats=stats
+                )
+            x = layer.forward_nodes(g, x, kv_cache[j], cross_mask, lnodes, ffn_branch=ffn_branch)
             x = block(g, x, nodes, f"llm.block{t}.", cfg.heads, self_mask)
         x = g.layer_norm(x, nodes["llm.ln_f.gain"], nodes["llm.ln_f.bias"])
         return g.matmul(x, nodes["llm.head"])
 
-    def forward(self, seq: InterleavedSequence, images: Sequence[Tensor] = (), text_only: bool = False) -> Tensor:
+    def forward(self, seq: InterleavedSequence, images: Sequence[Tensor] = ()) -> Tensor:
         g = Graph()
         nodes = self.param_nodes(g)
-        taps = [] if text_only else self.encode_images(g, images, nodes)
-        return self.forward_nodes(g, seq, taps, nodes, text_only=text_only).t
+        return self.forward_nodes(g, seq, self.encode_images(g, images, nodes), nodes).t
 
     # -- loss ----------------------------------------------------------------
 

@@ -43,6 +43,8 @@ class DenseFFN:
 
     @classmethod
     def init(cls, h: int, hidden: int, seed: int, prefix: str = "ffn") -> "DenseFFN":
+        if h < 1 or hidden < 1:
+            raise ConfigError(f"width and hidden size must be >= 1, got {h} and {hidden}")
         init = seeded_init(seed)
         return cls(
             init((h, hidden), f"{prefix}.w_in", h**-0.5),
@@ -160,13 +162,11 @@ def moe_forward_nodes(
     nodes: Mapping[str, Node],
     prefix: str = "moe",
     stats: RoutingStats | None = None,
-    unit_gates: bool = False,
 ) -> Node:
     """Per token: world(x) + sum over top-k of gate_i * expert_i(x).
 
     Differentiable through the selected gates and every active expert; the
-    hard selection itself is treated as locally constant. unit_gates is a
-    test hook that skips gate renormalization (every selected gate is 1).
+    hard selection itself is treated as locally constant.
 
     Grouped dispatch: all tokens of x are routed at once (one router matmul,
     one top-k pass, one gate softmax), each active expert runs one FFN on the
@@ -205,12 +205,11 @@ def moe_forward_nodes(
         if m
     ]
     gated = g.concat_rows(outs)
-    if not unit_gates:
-        flat = g.reshape(logits, (n_tok * n_exp, 1))
-        picked = g.row_select(flat, [t * n_exp + e for t, experts in enumerate(chosen) for e in experts])
-        gates = g.softmax_masked(g.reshape(picked, (n_tok, k)), [[True] * k] * n_tok)
-        gate_rows = g.row_select(g.reshape(gates, (n_tok * k, 1)), [t * k + slot for t, slot in stack])
-        gated = g.smul(gated, gate_rows)
+    flat = g.reshape(logits, (n_tok * n_exp, 1))
+    picked = g.row_select(flat, [t * n_exp + e for t, experts in enumerate(chosen) for e in experts])
+    gates = g.softmax_masked(g.reshape(picked, (n_tok, k)), [[True] * k] * n_tok)
+    gate_rows = g.row_select(g.reshape(gates, (n_tok * k, 1)), [t * k + slot for t, slot in stack])
+    gated = g.smul(gated, gate_rows)
     row_of = {ts: r for r, ts in enumerate(stack)}
     out: Node | None = None
     for slot in range(k):
@@ -230,14 +229,6 @@ def moe_forward_nodes(
                 stats.prob_sums[e] += fd[t * n_exp + e]
         stats.prob_nodes.append(full)
     return out
-
-
-def moe_forward(
-    x: Tensor, bank: ExpertBank, stats: RoutingStats | None = None, unit_gates: bool = False
-) -> Tensor:
-    g = Graph()
-    nodes = {name: g.param(t) for name, t in bank.param_items()}
-    return moe_forward_nodes(g, g.param(x), bank, nodes, stats=stats, unit_gates=unit_gates).t
 
 
 def aux_load_balance_loss(stats: RoutingStats) -> float:

@@ -32,6 +32,8 @@ def mm_data(a: list[float], m: int, k: int, b: list[float], n: int) -> list[floa
     With k == 1 every entry is a one-term dot product: the outer product,
     where 0.0 + x * y is exactly sum([x * y]) (sum starts from 0, which turns
     a -0.0 product into 0.0)."""
+    if len(a) != m * k or len(b) != k * n:
+        raise DimensionError(f"mm_data operands hold {len(a)}, {len(b)} values, not {m}*{k}, {k}*{n}")
     if k == 1:
         return [0.0 + x * y for x in a for y in b]
     bt = [b[j::n] for j in range(n)]
@@ -45,6 +47,8 @@ def mm_data(a: list[float], m: int, k: int, b: list[float], n: int) -> list[floa
 
 def mm_abt_data(a: list[float], m: int, n: int, b: list[float], p: int) -> list[float]:
     """(m,n) @ (p,n)^T -> (m,p); columns of b^T are rows of b."""
+    if len(a) != m * n or len(b) != p * n:
+        raise DimensionError(f"mm_abt_data operands hold {len(a)}, {len(b)} values, not {m}*{n}, {p}*{n}")
     brows = [b[q * n : (q + 1) * n] for q in range(p)]
     out: list[float] = []
     ext = out.extend
@@ -75,10 +79,6 @@ class Node:
     def __init__(self, t: Tensor, idx: int):
         self.t = t
         self.idx = idx
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.t.shape
 
 
 # Backward closures receive (grad_out_data, accumulate) where accumulate
@@ -188,17 +188,6 @@ class Graph:
         def bwd(g: list[float], acc) -> None:
             acc(a, g)
             acc(b, g)
-
-        return self._out(a.t.shape, out, bwd)
-
-    def sub(self, a: Node, b: Node) -> Node:
-        if a.t.shape != b.t.shape:
-            raise DimensionError(f"sub {a.t.shape} - {b.t.shape}")
-        out = [x - y for x, y in zip(a.t.data, b.t.data)]
-
-        def bwd(g: list[float], acc) -> None:
-            acc(a, g)
-            acc(b, [-v for v in g])
 
         return self._out(a.t.shape, out, bwd)
 

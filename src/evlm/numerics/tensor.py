@@ -50,10 +50,7 @@ class Tensor:
 
     @classmethod
     def zeros(cls, *shape: int) -> "Tensor":
-        n = 1
-        for s in shape:
-            n *= s
-        return cls(shape, [0.0] * n)
+        return cls.full(shape, 0.0)
 
     @classmethod
     def full(cls, shape: Shape, value: float) -> "Tensor":
@@ -61,20 +58,6 @@ class Tensor:
         for s in shape:
             n *= s
         return cls(shape, [float(value)] * n)
-
-    @classmethod
-    def from_rows(cls, rows: list[list[float]]) -> "Tensor":
-        cols = len(rows[0])
-        data: list[float] = []
-        for r in rows:
-            if len(r) != cols:
-                raise DimensionError("ragged rows")
-            data.extend(float(v) for v in r)
-        return cls((len(rows), cols), data)
-
-    @classmethod
-    def scalar(cls, value: float) -> "Tensor":
-        return cls((1, 1), [float(value)])
 
     @classmethod
     def randn(cls, shape: Shape, seed: int, std: float = 1.0) -> "Tensor":
@@ -102,10 +85,6 @@ class Tensor:
     def cols(self) -> int:
         return self.shape[1] if len(self.shape) > 1 else 1
 
-    def row(self, i: int) -> list[float]:
-        c = self.cols
-        return self.data[i * c : (i + 1) * c]
-
     def item(self) -> float:
         if self.size != 1:
             raise DimensionError(f"item() on tensor of shape {self.shape}")
@@ -113,14 +92,6 @@ class Tensor:
 
     def copy(self) -> "Tensor":
         return Tensor(self.shape, list(self.data), check=False)
-
-    def tolist(self) -> list[list[float]]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def allclose(self, other: "Tensor", tol: float = 1e-12) -> bool:
-        if self.shape != other.shape:
-            return False
-        return all(abs(a - b) <= tol for a, b in zip(self.data, other.data))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"

@@ -38,14 +38,6 @@ class EncoderConfig:
             raise ConfigError("patch_count and feature_dim must be positive")
 
 
-@dataclass
-class HierarchicalFeatures:
-    """One tapped feature sequence per scheduled layer, shallow to deep."""
-
-    taps: list  # Tensor or Node payloads, each (patch_count, feature_dim)
-    source_layers: list[int]
-
-
 def tap_schedule(layers: int, tap_window: int, num_taps: int) -> list[int]:
     """0-based layer indices of the taps: uniform stride window/num_taps over
     the last `tap_window` layers, always ending at the final layer."""
@@ -84,9 +76,10 @@ class VisionEncoder:
     def block_index(name: str) -> int:
         return int(name.split(".", 1)[0].removeprefix("block"))
 
-    def encode_nodes(self, g: Graph, patches: Node, nodes: Mapping[str, Node]) -> HierarchicalFeatures:
-        """Run all blocks inside an existing graph; nodes maps this encoder's
-        parameter names to graph nodes."""
+    def encode_nodes(self, g: Graph, patches: Node, nodes: Mapping[str, Node]) -> list[Node]:
+        """Run all blocks inside an existing graph and return the taps, one
+        (patch_count, feature_dim) output per layer of `schedule`, shallow to
+        deep; nodes maps this encoder's parameter names to graph nodes."""
         cfg = self.cfg
         if patches.t.shape != (cfg.patch_count, cfg.feature_dim):
             raise DimensionError(
@@ -100,11 +93,10 @@ class VisionEncoder:
             x = block(g, x, nodes, f"block{i}.", 1, full_mask)
             if i in self.schedule:
                 taps.append(x)
-        return HierarchicalFeatures(taps, list(self.schedule))
+        return taps
 
-    def encode(self, patches: Tensor) -> HierarchicalFeatures:
-        """Standalone forward pass returning plain tensors."""
+    def encode(self, patches: Tensor) -> list[Tensor]:
+        """Standalone forward pass returning the taps as plain tensors."""
         g = Graph()
         nodes = {name: g.param(t) for name, t in self.params.items()}
-        feats = self.encode_nodes(g, g.param(patches), nodes)
-        return HierarchicalFeatures([n.t for n in feats.taps], feats.source_layers)
+        return [n.t for n in self.encode_nodes(g, g.param(patches), nodes)]

@@ -18,12 +18,11 @@ from fractions import Fraction
 
 from evlm.flops import (
     FlopsScenario,
-    flops_cross_attention,
     flops_cross_attention_exact,
-    flops_full_attention,
     flops_full_attention_exact,
     format_report_record,
-    preset_report,
+    preset,
+    ratio,
 )
 from evlm.fusion import (
     GatedXAttn,
@@ -47,6 +46,7 @@ from evlm.model import (
 from evlm.moe import DenseFFN, MoEConfig, moe_forward_nodes, upcycle
 from evlm.numerics import Tensor, derive_seed, grad_check
 from evlm.vision import EncoderConfig
+from test_model import decoder_only_logits
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -100,7 +100,7 @@ def test_criterion_1_gate_zero_identity():
                 for i in range(2)
             ]
             fused = model.forward(seq, images)
-            plain = model.forward(seq, text_only=True)
+            plain = decoder_only_logits(model, seq)
             worst = max(abs(a - b) for a, b in zip(fused.data, plain.data))
             assert worst <= 1e-12, f"trial {trial}: max deviation {worst}"
 
@@ -246,13 +246,13 @@ def test_criterion_4_cost_model():
             "continual": (708_753_489_920, 64_186_482_688),
         }
         for name, (full_v, cross_v) in frozen.items():
-            rep = preset_report(name)
+            rep = ratio(preset(name), preset_name=name)
             assert rep.flops_full == float(full_v)
             assert rep.flops_cross == float(cross_v)
             record = format_report_record(rep)
             assert "reference_S=" in record and "abs_diff=" in record  # side-by-side figures
-        assert preset_report("pretrain").reference_ratio == 0.24
-        assert preset_report("continual").reference_ratio == 0.077
+        assert ratio(preset("pretrain"), preset_name="pretrain").reference_ratio == 0.24
+        assert ratio(preset("continual"), preset_name="continual").reference_ratio == 0.077
 
         rng = random.Random(99)
         for _ in range(1000):
@@ -266,8 +266,8 @@ def test_criterion_4_cost_model():
                 r_xf=rng.choice([0.2, 0.5, 1.0, rng.uniform(1e-6, 1.0)]),
                 media_len=rng.choice([16, 1, 32]),
             )
-            got_full, want_full = flops_full_attention(sc), float(_oracle_full(sc))
-            got_cross, want_cross = flops_cross_attention(sc), float(_oracle_cross(sc))
+            got_full, want_full = float(flops_full_attention_exact(sc)), float(_oracle_full(sc))
+            got_cross, want_cross = float(flops_cross_attention_exact(sc)), float(_oracle_cross(sc))
             for got, want in ((got_full, want_full), (got_cross, want_cross)):
                 if got != want:
                     assert abs(got - want) / max(abs(got), abs(want)) < 1e-12
@@ -293,8 +293,8 @@ def test_criterion_4_cost_model():
                 r_xf=sc.r_xf,
                 media_len=sc.media_len,
             )
-            assert flops_full_attention(sc2) == 2.0 * flops_full_attention(sc1)
-            assert flops_cross_attention(sc2) == 2.0 * flops_cross_attention(sc1)
+            assert float(flops_full_attention_exact(sc2)) == 2.0 * float(flops_full_attention_exact(sc1))
+            assert float(flops_cross_attention_exact(sc2)) == 2.0 * float(flops_cross_attention_exact(sc1))
 
         # s_img asymptotics hold exactly on the rational path
         base = FlopsScenario(batch=3, s_img=10, s_txt=7, h_llm=64, d_img=32)
@@ -315,8 +315,8 @@ def test_criterion_5_gradient_checks():
     with criterion(5, "gradient checks vs central differences", 60):
         # (a) gated cross-attention layer, every coordinate
         layer = GatedXAttn(h_llm=4, d_img=3, r_xc=0.5, r_xf=0.5, seed=50)
-        layer.params["alpha_attn"] = Tensor.scalar(0.4)
-        layer.params["alpha_ffn"] = Tensor.scalar(-0.3)
+        layer.params["alpha_attn"] = Tensor((1, 1), [0.4])
+        layer.params["alpha_ffn"] = Tensor((1, 1), [-0.3])
         seq = insert_media_tokens([ImageMarker(0), 1, 2], media_len=1)
         mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
         hidden = Tensor.randn((3, 4), derive_seed(50, "hidden"), 0.7)

@@ -1,10 +1,16 @@
 """End-to-end CLI behavior: exit codes, record parsing, byte determinism."""
 
+import contextlib
+import io
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+
+from evlm import cli
+from evlm.model import save_checkpoint, smoke_config, train_smoke
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -118,6 +124,12 @@ def test_mask_media_len_replicates_slot_rows():
     assert lines[0] == "4 3 1 image"
     assert lines[1] == lines[2] == lines[3] == "110"  # one row per media slot
     assert lines[4] == "111"
+
+
+def test_mask_media_len_below_one_is_a_usage_error_naming_media_len():
+    out = run_cli("mask", "--mode", "image", "--seq", "I T", "--media-len", "0")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and "media_len" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_mask_malformed_spec_rejected():
@@ -261,6 +273,13 @@ def test_upcycle_check_degenerate_exact():
 def test_upcycle_check_indivisible_hidden():
     out = run_cli("upcycle-check", "--n", "1", "--m", "4", "--width", "4", "--hidden", "6")
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--width", "0"), ("--hidden", "0"), ("--width", "-2")])
+def test_upcycle_check_size_below_one_is_a_usage_error(flag, value):
+    out = run_cli("upcycle-check", flag, value)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1
 
 
 def test_cost_overflow_is_numeric_failure():
@@ -407,3 +426,70 @@ def test_repeat_invocations_byte_identical(argv):
     a, b = run_cli(*argv), run_cli(*argv)
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode
+
+
+# -- fuzzing --------------------------------------------------------------------------
+
+
+def exit_code(argv):
+    """cli.main in process with its output discarded; argparse's SystemExit
+    counts as an exit code, any other exception propagates."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+def mutate_checkpoint(rng, data):
+    """One byte replaced (in the header or anywhere), a truncation, or a line
+    repeated. One replaced byte makes a config value at most about ten times
+    larger, so no mutant declares a model much larger than the original."""
+    kind = rng.randrange(4)
+    if kind < 2:
+        end = data.index(b"\nparam ") if kind == 0 else len(data)
+        i = rng.randrange(end)
+        return data[:i] + bytes([rng.choice(b"0123456789 .-=en\nx")]) + data[i + 1 :]
+    if kind == 2:
+        return data[: rng.randrange(len(data))]
+    lines = data.split(b"\n")
+    i = rng.randrange(len(lines))
+    return b"\n".join(lines[: i + 1] + lines[i:])
+
+
+def small_value(rng):
+    return rng.choice(["-2", "-1", "0", "1", "1", "2", "2", "3", "3", "x", "0.5", ""])
+
+
+def mutate_argv(rng):
+    command = rng.choice(["cost", "mask", "upcycle-check"])
+    if command == "cost":
+        if rng.random() < 0.2:
+            return ["cost", "--preset", rng.choice(["pretrain", "continual", "other"])]
+        keys = ["B", "s_img", "s_txt", "h_llm", "d_img", rng.choice(["r_xc", "r_xf", "media_len", "bogus"])]
+        return ["cost", "--scenario", *(f"{k}={small_value(rng)}" for k in keys if rng.random() < 0.9)]
+    if command == "mask":
+        seq = " ".join(rng.choice("IITTT X") for _ in range(rng.randint(0, 5)))
+        argv = ["mask", "--mode", rng.choice(["image", "video", "image", "video", "audio"]), "--seq", seq]
+        flags = ["--s-img", "--pad", "--media-len"]
+    else:
+        argv = ["upcycle-check"]
+        flags = ["--n", "--m", "--width", "--hidden"]
+    for flag in flags:
+        if rng.random() < 0.5:
+            argv += [flag, small_value(rng)]
+    return argv
+
+
+def test_fuzzed_checkpoints_and_arguments_end_in_a_documented_exit_code(tmp_path):
+    rng = random.Random(2024)
+    ckpt = tmp_path / "smoke.ckpt"
+    save_checkpoint(train_smoke(smoke_config(), steps=0, seed=0).model, str(ckpt))
+    original = ckpt.read_bytes()
+    mutant = tmp_path / "mutant.ckpt"
+    probe = ["probe", "--checkpoint", str(mutant), "--image", "1", "--candidates", "0,1"]
+    for i in range(60):
+        mutant.write_bytes(mutate_checkpoint(rng, original))
+        assert exit_code(probe) in {0, 2, 3, 4, 5}, f"checkpoint mutant {i}"
+    for argv in [["upcycle-check", "--width", "0"]] + [mutate_argv(rng) for _ in range(200)]:
+        assert exit_code(argv) in {0, 2, 3, 4, 5}, argv

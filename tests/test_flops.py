@@ -12,14 +12,11 @@ import pytest
 from evlm.errors import ConfigError
 from evlm.flops import (
     FlopsScenario,
-    cross_attention_terms,
-    flops_cross_attention,
     flops_cross_attention_exact,
-    flops_full_attention,
+    flops_cross_attention_terms_exact,
     flops_full_attention_exact,
     format_report_record,
     preset,
-    preset_report,
     ratio,
 )
 
@@ -65,38 +62,38 @@ def rel_diff(a, b):
 
 def test_full_attention_hand_example():
     sc = FlopsScenario(batch=1, s_img=2, s_txt=2, h_llm=1, d_img=1)
-    assert flops_full_attention(sc) == 160.0
+    assert float(flops_full_attention_exact(sc)) == 160.0
 
 
 def test_cross_attention_hand_example():
     sc = FlopsScenario(
         batch=1, s_img=1, s_txt=0, h_llm=1, d_img=1, r_xc=0.5, r_xf=0.5, media_len=16
     )
-    assert cross_attention_terms(sc) == (448.0, 1024.0, 2.0, 32.0)
-    assert flops_cross_attention(sc) == 1506.0
+    assert tuple(map(float, flops_cross_attention_terms_exact(sc))) == (448.0, 1024.0, 2.0, 32.0)
+    assert float(flops_cross_attention_exact(sc)) == 1506.0
 
 
 def test_zero_batch_gives_zero():
     sc = FlopsScenario(batch=0, s_img=4, s_txt=4, h_llm=8, d_img=8)
-    assert flops_full_attention(sc) == 0.0
-    assert flops_cross_attention(sc) == 0.0
-    assert cross_attention_terms(sc) == (0.0, 0.0, 0.0, 0.0)
+    assert float(flops_full_attention_exact(sc)) == 0.0
+    assert float(flops_cross_attention_exact(sc)) == 0.0
+    assert tuple(map(float, flops_cross_attention_terms_exact(sc))) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_pretrain_preset_frozen_values():
     sc = preset("pretrain")
     assert (sc.s_img, sc.s_txt, sc.h_llm, sc.d_img) == (256, 64, 5120, 1792)
-    assert flops_full_attention(sc) == float(PRETRAIN_FULL)
-    assert flops_cross_attention(sc) == float(PRETRAIN_CROSS)
-    assert cross_attention_terms(sc) == tuple(float(t) for t in PRETRAIN_TERMS)
+    assert float(flops_full_attention_exact(sc)) == float(PRETRAIN_FULL)
+    assert float(flops_cross_attention_exact(sc)) == float(PRETRAIN_CROSS)
+    assert tuple(map(float, flops_cross_attention_terms_exact(sc))) == tuple(float(t) for t in PRETRAIN_TERMS)
 
 
 def test_continual_preset_frozen_values():
     sc = preset("continual")
     assert (sc.s_img, sc.s_txt, sc.h_llm, sc.d_img) == (1024, 64, 5120, 1792)
-    assert flops_full_attention(sc) == float(CONTINUAL_FULL)
-    assert flops_cross_attention(sc) == float(CONTINUAL_CROSS)
-    assert cross_attention_terms(sc) == tuple(float(t) for t in CONTINUAL_TERMS)
+    assert float(flops_full_attention_exact(sc)) == float(CONTINUAL_FULL)
+    assert float(flops_cross_attention_exact(sc)) == float(CONTINUAL_CROSS)
+    assert tuple(map(float, flops_cross_attention_terms_exact(sc))) == tuple(float(t) for t in CONTINUAL_TERMS)
 
 
 def test_presets_share_hidden_sizes():
@@ -132,8 +129,8 @@ def test_matches_oracle_on_1000_random_scenarios():
     rng = random.Random(2024)
     for _ in range(1000):
         sc = rand_scenario(rng)
-        assert rel_diff(flops_full_attention(sc), float(oracle_full(sc))) < 1e-12
-        assert rel_diff(flops_cross_attention(sc), float(oracle_cross(sc))) < 1e-12
+        assert rel_diff(float(flops_full_attention_exact(sc)), float(oracle_full(sc))) < 1e-12
+        assert rel_diff(float(flops_cross_attention_exact(sc)), float(oracle_cross(sc))) < 1e-12
 
 
 def test_batch_linearity_exact():
@@ -160,8 +157,8 @@ def test_batch_linearity_exact():
             r_xf=sc.r_xf,
             media_len=sc.media_len,
         )
-        assert flops_full_attention(doubled) == 2.0 * flops_full_attention(base)
-        assert flops_cross_attention(doubled) == 2.0 * flops_cross_attention(base)
+        assert float(flops_full_attention_exact(doubled)) == 2.0 * float(flops_full_attention_exact(base))
+        assert float(flops_cross_attention_exact(doubled)) == 2.0 * float(flops_cross_attention_exact(base))
 
 
 def test_ratio_invariant_under_batch_scaling():
@@ -214,7 +211,7 @@ def test_monotone_in_every_contributing_field():
         return FlopsScenario(**fields)
 
     for kw in ({"batch": 3}, {"s_img": 9}, {"s_txt": 9}, {"h_llm": 17}):
-        assert flops_full_attention(bump(**kw)) > flops_full_attention(base)
+        assert float(flops_full_attention_exact(bump(**kw))) > float(flops_full_attention_exact(base))
     for kw in (
         {"batch": 3},
         {"s_img": 9},
@@ -225,18 +222,18 @@ def test_monotone_in_every_contributing_field():
         {"r_xf": 0.6},
         {"media_len": 17},
     ):
-        assert flops_cross_attention(bump(**kw)) > flops_cross_attention(base)
+        assert float(flops_cross_attention_exact(bump(**kw))) > float(flops_cross_attention_exact(base))
 
 
 # -- report surface ------------------------------------------------------------------
 
 
 def test_ratio_report_fields():
-    rep = preset_report("pretrain")
+    rep = ratio(preset("pretrain"), preset_name="pretrain")
     assert rep.ratio == rep.flops_cross / rep.flops_full
     assert abs(sum(rep.terms) - rep.flops_cross) < 1e-6
     assert rep.reference_ratio == 0.24
-    rep2 = preset_report("continual")
+    rep2 = ratio(preset("continual"), preset_name="continual")
     assert rep2.reference_ratio == 0.077
 
 
@@ -246,7 +243,7 @@ def test_zero_denominator_rejected():
 
 
 def test_record_format_round_trips():
-    rep = preset_report("continual")
+    rep = ratio(preset("continual"), preset_name="continual")
     record = format_report_record(rep)
     parsed = dict(line.split("=", 1) for line in record.strip().split("\n"))
     assert parsed["scenario"] == "continual"

@@ -290,6 +290,17 @@ def make_layer(h=4, d=3, seed=11):
     return GatedXAttn(h_llm=h, d_img=d, r_xc=0.5, r_xf=0.5, seed=seed)
 
 
+def xattn(layer, hidden, kv, mask):
+    """The layer's output for `hidden` attending to the `kv` rows, on a fresh graph."""
+    g = Graph()
+    nodes = {n: g.param(t) for n, t in layer.params.items()}
+    return layer.forward_nodes(g, g.param(hidden), g.param(kv), mask, nodes).t
+
+
+def rows_of(t):
+    return [t.data[i * t.cols : (i + 1) * t.cols] for i in range(t.rows)]
+
+
 def test_gate_zero_identity_bit_exact():
     layer = make_layer()
     seq = insert_media_tokens([ImageMarker(0), 1, 2], media_len=1)
@@ -305,36 +316,37 @@ def test_gate_zero_identity_bit_exact():
 
 def test_zero_features_attn_branch_is_zero():
     layer = make_layer()
-    layer.params["alpha_attn"] = Tensor.scalar(1.3)  # open the attention gate only
+    layer.params["alpha_attn"] = Tensor((1, 1), [1.3])  # open the attention gate only
     seq = insert_media_tokens([ImageMarker(0), 1], media_len=1)
     mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
     hidden = Tensor.randn((2, 4), derive_seed(1, "hidden"))
-    out = layer.forward(hidden, Tensor.zeros(3, 3), mask)
+    out = xattn(layer, hidden, Tensor.zeros(3, 3), mask)
     assert out.data == hidden.data
 
 
 def test_forward_matches_loop_oracle():
     rng = random.Random(23)
     layer = make_layer()
-    layer.params["alpha_attn"] = Tensor.scalar(0.7)
-    layer.params["alpha_ffn"] = Tensor.scalar(-0.4)
+    layer.params["alpha_attn"] = Tensor((1, 1), [0.7])
+    layer.params["alpha_ffn"] = Tensor((1, 1), [-0.4])
     seq = insert_media_tokens([ImageMarker(0), 1, 2], media_len=1)
     mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
     hidden = Tensor.randn((3, 4), derive_seed(2, "hidden"))
     kv_rows = [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(2)] + [[0.0] * 3]
-    out = layer.forward(hidden, Tensor.from_rows(kv_rows), mask)
-    p = {n: t.tolist() for n, t in layer.params.items()}
+    out = xattn(layer, hidden, Tensor((3, 3), sum(kv_rows, [])), mask)
+    p = {n: rows_of(t) for n, t in layer.params.items()}
     p["alpha_attn"] = layer.params["alpha_attn"].item()
     p["alpha_ffn"] = layer.params["alpha_ffn"].item()
-    want = xattn_oracle(hidden.tolist(), kv_rows, mask.allow, p, layer.attn_width)
-    worst = max(abs(a - b) for gr, wr in zip(out.tolist(), want) for a, b in zip(gr, wr))
+    want = xattn_oracle(rows_of(hidden), kv_rows, mask.allow, p, layer.params["wq"].cols)
+    assert out.shape == (3, 4)
+    worst = max(abs(a - b) for gr, wr in zip(rows_of(out), want) for a, b in zip(gr, wr))
     assert worst < 1e-10
 
 
 def test_locality_image_content_invisible_before_its_run():
     layer = make_layer(h=4, d=3, seed=5)
-    layer.params["alpha_attn"] = Tensor.scalar(0.9)
-    layer.params["alpha_ffn"] = Tensor.scalar(0.5)
+    layer.params["alpha_attn"] = Tensor((1, 1), [0.9])
+    layer.params["alpha_ffn"] = Tensor((1, 1), [0.5])
     seq = insert_media_tokens([1, ImageMarker(0), 2, ImageMarker(1), 3], media_len=2)
     mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
     hidden = Tensor.randn((len(seq), 4), derive_seed(3, "hidden"))
@@ -351,7 +363,7 @@ def test_locality_image_content_invisible_before_its_run():
     out_a, out_b = run(feats1a), run(feats1b)
     image1_run_start = 4  # positions 0..3 precede image 1's run
     for i in range(image1_run_start):
-        assert out_a.row(i) == out_b.row(i)
+        assert rows_of(out_a)[i] == rows_of(out_b)[i]
     assert out_a.data != out_b.data  # later positions do see the change
 
 
@@ -360,13 +372,13 @@ def test_mask_kv_mismatch_rejected():
     seq = insert_media_tokens([ImageMarker(0), 1], media_len=1)
     mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
     with pytest.raises(DimensionError):
-        layer.forward(Tensor.zeros(2, 4), Tensor.zeros(5, 3), mask)
+        xattn(layer, Tensor.zeros(2, 4), Tensor.zeros(5, 3), mask)
 
 
 def test_layer_grad_check():
     layer = make_layer(h=4, d=3, seed=31)
-    layer.params["alpha_attn"] = Tensor.scalar(0.3)
-    layer.params["alpha_ffn"] = Tensor.scalar(-0.6)
+    layer.params["alpha_attn"] = Tensor((1, 1), [0.3])
+    layer.params["alpha_ffn"] = Tensor((1, 1), [-0.6])
     seq = insert_media_tokens([ImageMarker(0), 1, 2], media_len=1)
     mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
     hidden = Tensor.randn((3, 4), derive_seed(4, "hidden"), 0.7)

@@ -9,9 +9,10 @@ import random
 import pytest
 
 from evlm.errors import ConfigError, ContractViolationError, NonFiniteError, SequenceError
-from evlm.fusion import ImageMarker, build_cross_mask_image, insert_media_tokens
+from evlm.fusion import ImageMarker, build_cross_mask_image, build_self_mask, insert_media_tokens
 from evlm.layers import block
 from evlm.model import (
+    ALL_GROUPS,
     FusedModel,
     ModelConfig,
     caption_sequence,
@@ -65,6 +66,19 @@ def mixed_sequence(model, rng, num_images=2):
 # -- composed forward ------------------------------------------------------------
 
 
+def decoder_only_logits(model, seq):
+    """The reference text decoder: the model's embeddings, decoder blocks,
+    final norm and head, with no cross-attention layer between the blocks."""
+    g = Graph()
+    nodes = model.param_nodes(g)
+    x = model._embed_stream(g, seq, nodes)
+    self_mask = build_self_mask(seq)
+    for t in range(model.cfg.llm_layers):
+        x = block(g, x, nodes, f"llm.block{t}.", model.cfg.heads, self_mask)
+    x = g.layer_norm(x, nodes["llm.ln_f.gain"], nodes["llm.ln_f.bias"])
+    return g.matmul(x, nodes["llm.head"]).t
+
+
 def test_gate_zero_identity_composed():
     model = FusedModel(tiny_config(), seed=3)
     rng = random.Random(0)
@@ -72,7 +86,7 @@ def test_gate_zero_identity_composed():
         seq = mixed_sequence(model, rng)
         images = rand_images(model, seq.num_images, trial)
         fused = model.forward(seq, images)
-        text_only = model.forward(seq, text_only=True)
+        text_only = decoder_only_logits(model, seq)
         assert fused.data == text_only.data  # bit-exact through zero gates
 
 
@@ -80,7 +94,7 @@ def test_no_images_reduces_to_text_decoder():
     model = FusedModel(tiny_config(), seed=4)
     seq = insert_media_tokens([1, 2, 3], media_len=model.cfg.media_len)
     fused = model.forward(seq, [])
-    text_only = model.forward(seq, text_only=True)
+    text_only = decoder_only_logits(model, seq)
     assert fused.data == text_only.data
     mask = build_cross_mask_image(seq, model.cfg.encoder.patch_count, model.cfg.pad_len)
     assert all(row == [True] * model.cfg.pad_len for row in mask.allow)
@@ -156,7 +170,7 @@ def test_pure_text_loss_equals_plain_lm_loss():
     logits = model.forward(seq, [])
     total = 0.0
     for i in range(len(tokens) - 1):
-        row = logits.row(i)
+        row = logits.data[i * logits.cols : (i + 1) * logits.cols]
         top = max(row)
         z = sum(math.exp(x - top) for x in row)
         total += math.log(z) + top - row[tokens[i + 1]]
@@ -169,7 +183,7 @@ def test_all_media_plus_one_text_scores_single_position():
     images = rand_images(model, 1, 2)
     logits = model.forward(seq, images)
     got = model.loss(seq, images)
-    row = logits.row(1)  # last media slot predicts the lone text token
+    row = logits.data[logits.cols : 2 * logits.cols]  # last media slot predicts the lone text token
     top = max(row)
     want = math.log(sum(math.exp(x - top) for x in row)) + top - row[3]
     assert abs(got - want) < 1e-10
@@ -195,7 +209,7 @@ def test_mixed_batch_loss_matches_masked_nll_oracle():
         for i in range(len(seq)):
             if not mask[i]:
                 continue
-            row = logits.row(i)
+            row = logits.data[i * logits.cols : (i + 1) * logits.cols]
             top = max(row)
             z = sum(math.exp(x - top) for x in row)
             total += math.log(z) + top - row[targets[i]]
@@ -251,7 +265,7 @@ def freeze_test_model():
 
 def test_groups_partition_all_parameters():
     model = freeze_test_model()
-    groups = model.groups()
+    groups = {g: [n for n, group in model.group_of.items() if group == g] for g in ALL_GROUPS}
     names = [n for members in groups.values() for n in members]
     assert sorted(names) == sorted(model.params)
     for g in ("llm", "xattn", "vit_front", "vit_back_half", "vit_last_quarter", "media_tokens", "moe"):
@@ -716,22 +730,22 @@ def decoder_block_oracle(x, p, heads, self_mask, eps=1e-5):
 def test_decoder_block_matches_loop_oracle():
     model = FusedModel(tiny_config(), seed=17)
     seq = insert_media_tokens([1, 2, 3, 4], media_len=2)
-    from evlm.fusion import build_self_mask
-
     self_mask = build_self_mask(seq)
     x = Tensor.randn((4, 8), derive_seed(17, "x"))
     g = Graph()
     nodes = model.param_nodes(g)
     out = block(g, g.param(x), nodes, "llm.block0.", model.cfg.heads, self_mask).t
+    nested = lambda t: [t.data[i * t.cols : (i + 1) * t.cols] for i in range(t.rows)]
     p = {
-        name.removeprefix("llm.block0."): model.params[name].tolist()
+        name.removeprefix("llm.block0."): nested(model.params[name])
         for name in model.params
         if name.startswith("llm.block0.")
     }
     for key in ("ln1.gain", "ln1.bias", "ln2.gain", "ln2.bias"):
         p[key] = p[key][0]
-    want = decoder_block_oracle(x.tolist(), p, heads=2, self_mask=self_mask)
-    worst = max(abs(a - b) for gr, wr in zip(out.tolist(), want) for a, b in zip(gr, wr))
+    want = decoder_block_oracle(nested(x), p, heads=2, self_mask=self_mask)
+    assert out.shape == (4, 8)
+    worst = max(abs(a - b) for gr, wr in zip(nested(out), want) for a, b in zip(gr, wr))
     assert worst < 1e-10
 
 

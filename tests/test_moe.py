@@ -14,7 +14,6 @@ from evlm.moe import (
     RoutingStats,
     aux_load_balance_loss,
     aux_loss_node,
-    moe_forward,
     moe_forward_nodes,
     route,
     top_k,
@@ -132,17 +131,24 @@ def test_route_deterministic():
     assert route(x, bank) == route(x, bank)
 
 
-# -- moe_forward ----------------------------------------------------------------
+# -- moe_forward_nodes ----------------------------------------------------------
+
+
+def run_moe(x, bank, stats=None):
+    """The bank's output for the rows of `x`, on a fresh graph."""
+    g = Graph()
+    return moe_forward_nodes(g, g.param(x), bank, {n: g.param(t) for n, t in bank.param_items()}, stats=stats).t
 
 
 def test_route_picks_the_experts_the_forward_pass_counts_per_row():
     bank = upcycle(make_dense(), MoEConfig(n_replicas=3, segments=2, top_k=2))
     bank.router = Tensor.randn((6, 6), derive_seed(9, "router"))
     x = Tensor.randn((5, 6), derive_seed(9, "tokens"))
-    rows = [Tensor((1, 6), x.row(i)) for i in range(5)] + [Tensor.zeros(1, 6)]  # the last row ties
+    # the last row ties
+    rows = [Tensor((1, 6), x.data[i * 6 : (i + 1) * 6]) for i in range(5)] + [Tensor.zeros(1, 6)]
     for row in rows:
         stats = RoutingStats(bank.cfg.num_experts)
-        moe_forward(row, bank, stats=stats)
+        run_moe(row, bank, stats=stats)
         chosen, _ = route(row, bank)
         assert stats.assignments == [int(e in chosen) for e in range(bank.cfg.num_experts)]
     assert route(rows[-1], bank)[0] == [0, 1]
@@ -157,24 +163,14 @@ def test_forward_one_replica_selected_equals_scaled_dense():
     bank = upcycle(dense, cfg)
     bank.router = Tensor((4, 4), [-5.0 if j < 2 else 0.0 for _ in range(4) for j in range(4)])
     x = Tensor.full((1, 4), 0.5)
-    out = moe_forward(x, bank)
+    out = run_moe(x, bank)
     want = dense.apply(x)
     assert max(abs(a - 0.5 * b) for a, b in zip(out.data, want.data)) < 1e-12
 
 
-def test_forward_unit_gate_hook_gives_n_times_dense():
-    dense = make_dense(h=4, hidden=8, seed=5)
-    cfg = MoEConfig(n_replicas=3, segments=2, top_k=6, use_world_expert=False)
-    bank = upcycle(dense, cfg)
-    x = rand_input(4, 7)
-    out = moe_forward(x, bank, unit_gates=True)
-    want = dense.apply(x)
-    assert max(abs(a - 3.0 * b) for a, b in zip(out.data, want.data)) < 1e-11
-
-
 def test_forward_zero_input_bias_free_gives_zero():
     bank = upcycle(make_dense(), MoEConfig(n_replicas=2, segments=2, top_k=2))
-    out = moe_forward(Tensor.zeros(2, 6), bank)
+    out = run_moe(Tensor.zeros(2, 6), bank)
     assert out.data == [0.0] * 12
 
 
@@ -184,7 +180,7 @@ def test_forward_world_plus_topk_matches_manual_composition():
     bank = upcycle(dense, cfg)
     bank.router = Tensor.randn((4, 4), derive_seed(1, "router"))
     x = rand_input(4, 12)
-    out = moe_forward(x, bank)
+    out = run_moe(x, bank)
     idx, gates = route(x, bank)
     manual = bank.world.apply(x).data
     for ei, gate in zip(idx, gates):
@@ -206,8 +202,8 @@ def test_forward_routing_stats_and_determinism():
     bank.router = Tensor.randn((6, 4), derive_seed(4, "router"))
     x = Tensor.randn((5, 6), derive_seed(4, "tokens"))
     s1, s2 = RoutingStats(4), RoutingStats(4)
-    out1 = moe_forward(x, bank, stats=s1)
-    out2 = moe_forward(x, bank, stats=s2)
+    out1 = run_moe(x, bank, stats=s1)
+    out2 = run_moe(x, bank, stats=s2)
     assert out1.data == out2.data
     assert s1.assignments == s2.assignments
     assert s1.tokens == 5
@@ -235,7 +231,7 @@ def test_grad_check_through_router_and_experts():
 # -- grouped dispatch against the per-token loop --------------------------------------
 
 
-def per_token_moe_forward_nodes(g, x, bank, nodes, prefix="moe", stats=None, unit_gates=False):
+def per_token_moe_forward_nodes(g, x, bank, nodes, prefix="moe", stats=None):
     """One token at a time: a row_select, a router matmul and k+1 one-row FFNs
     per token. The reference that grouped dispatch must match bit for bit."""
     cfg = bank.cfg
@@ -245,11 +241,11 @@ def per_token_moe_forward_nodes(g, x, bank, nodes, prefix="moe", stats=None, uni
         row = g.row_select(x, [i])
         logits = g.matmul(row, nodes[f"{prefix}.router"])
         chosen = top_k(logits.t.data, cfg.top_k)
-        gates = None if unit_gates else g.softmax_masked(g.col_select(logits, chosen), all_true_k)
+        gates = g.softmax_masked(g.col_select(logits, chosen), all_true_k)
         acc = None
         for slot, ei in enumerate(chosen):
             out = ffn(g, row, nodes[f"{prefix}.expert{ei}.w_in"], nodes[f"{prefix}.expert{ei}.w_out"])
-            gated = out if gates is None else g.smul(out, g.col_select(gates, [slot]))
+            gated = g.smul(out, g.col_select(gates, [slot]))
             acc = gated if acc is None else g.add(acc, gated)
         if cfg.use_world_expert:
             world = ffn(g, row, nodes[f"{prefix}.world.w_in"], nodes[f"{prefix}.world.w_out"])
@@ -280,7 +276,7 @@ def random_bank(cfg, router, seed=31):
     return bank
 
 
-def moe_run(forward, bank, inputs, unit_gates):
+def moe_run(forward, bank, inputs):
     """Each input through `forward` in one graph sharing the bank's parameter
     nodes, plus a residual (so each input has a second consumer), a weighted
     sum and the aux loss; returns everything the backward pass reaches."""
@@ -291,7 +287,7 @@ def moe_run(forward, bank, inputs, unit_gates):
     loss = None
     outs = []
     for i, x in enumerate(xs):
-        out = g.add(x, forward(g, x, bank, nodes, stats=stats, unit_gates=unit_gates))
+        out = g.add(x, forward(g, x, bank, nodes, stats=stats))
         outs.append(out.t.data)
         w = g.constant(Tensor.randn(out.t.shape, derive_seed(i, "weights")))
         term = g.sum_all(g.mul(out, w))
@@ -308,25 +304,24 @@ def moe_run(forward, bank, inputs, unit_gates):
 
 
 @pytest.mark.parametrize(
-    "cfg_kwargs,router,unit_gates,token_counts",
+    "cfg_kwargs,router,token_counts",
     [
-        (dict(top_k=2), "zero", False, (5,)),
-        (dict(top_k=2), "random", False, (5,)),
-        (dict(top_k=1), "random", False, (6,)),
-        (dict(top_k=4), "random", False, (4,)),
-        (dict(top_k=2, use_world_expert=False), "random", False, (5,)),
-        (dict(top_k=3), "random", True, (5,)),
-        (dict(top_k=2), "random", False, (1,)),
-        (dict(top_k=2), "random", False, (5, 3)),
+        (dict(top_k=2), "zero", (5,)),
+        (dict(top_k=2), "random", (5,)),
+        (dict(top_k=1), "random", (6,)),
+        (dict(top_k=4), "random", (4,)),
+        (dict(top_k=2, use_world_expert=False), "random", (5,)),
+        (dict(top_k=2), "random", (1,)),
+        (dict(top_k=2), "random", (5, 3)),
     ],
-    ids=["zero_router_ties", "random_router", "top_k_1", "top_k_all", "no_world", "unit_gates",
-         "one_token", "two_calls_share_params"],
+    ids=["zero_router_ties", "random_router", "top_k_1", "top_k_all", "no_world", "one_token",
+         "two_calls_share_params"],
 )
-def test_grouped_dispatch_is_bit_identical_to_the_per_token_loop(cfg_kwargs, router, unit_gates, token_counts):
+def test_grouped_dispatch_is_bit_identical_to_the_per_token_loop(cfg_kwargs, router, token_counts):
     bank = random_bank(MoEConfig(n_replicas=2, segments=2, **cfg_kwargs), router)
     inputs = [Tensor.randn((n, 6), derive_seed(n + 10 * i, "tokens")) for i, n in enumerate(token_counts)]
-    want = moe_run(per_token_moe_forward_nodes, bank, inputs, unit_gates)
-    got = moe_run(moe_forward_nodes, bank, inputs, unit_gates)
+    want = moe_run(per_token_moe_forward_nodes, bank, inputs)
+    got = moe_run(moe_forward_nodes, bank, inputs)
     assert got == want
 
 
@@ -338,7 +333,7 @@ def test_one_call_issues_one_matmul_per_router_expert_weight(monkeypatch, use_wo
     matmul = Graph.matmul
     monkeypatch.setattr(Graph, "matmul", lambda g, a, b: calls.append(1) or matmul(g, a, b))
     stats = RoutingStats(bank.cfg.num_experts)
-    moe_forward(Tensor.randn((n_tok, 6), derive_seed(n_tok, "tokens")), bank, stats=stats)
+    run_moe(Tensor.randn((n_tok, 6), derive_seed(n_tok, "tokens")), bank, stats=stats)
     active = sum(1 for a in stats.assignments if a)
     assert len(calls) == 1 + 2 * active + 2 * use_world_expert
 
@@ -436,8 +431,8 @@ def test_moe_behind_ffn_gate_preserves_gate_zero_identity():
 
 def test_grad_check_fused_block_with_moe_two_tokens():
     layer, bank, mask, build_padded_kv = fused_block_fixture()
-    layer.params["alpha_attn"] = Tensor.scalar(0.4)
-    layer.params["alpha_ffn"] = Tensor.scalar(-0.5)
+    layer.params["alpha_attn"] = Tensor((1, 1), [0.4])
+    layer.params["alpha_ffn"] = Tensor((1, 1), [-0.5])
     hidden = Tensor.randn((2, 4), derive_seed(73, "hidden"), 0.7)
     feats = Tensor.randn((2, 3), derive_seed(73, "feats"), 0.7)
     layer_names = sorted(layer.params)

@@ -9,7 +9,7 @@ import pytest
 
 from evlm.errors import ContractViolationError, DimensionError, NonFiniteError
 from evlm.numerics import Graph, Tensor, derive_seed, grad_check
-from evlm.numerics.graph import mm_data
+from evlm.numerics.graph import mm_abt_data, mm_data
 
 
 # -- oracles ----------------------------------------------------------------
@@ -56,8 +56,8 @@ def rand_matrix(rng, m, n, scale=1.0):
 
 def test_matmul_identity_3x3():
     rng = random.Random(1)
-    x = Tensor.from_rows(rand_matrix(rng, 3, 3))
-    eye = Tensor.from_rows([[1.0 if i == j else 0.0 for j in range(3)] for i in range(3)])
+    x = Tensor((3, 3), sum(rand_matrix(rng, 3, 3), []))
+    eye = Tensor((3, 3), [1.0 if i == j else 0.0 for i in range(3) for j in range(3)])
     g = Graph()
     out = g.matmul(g.param(eye), g.param(x))
     assert out.t.data == x.data
@@ -65,9 +65,10 @@ def test_matmul_identity_3x3():
 
 def test_matmul_2x2_example():
     g = Graph()
-    a = g.param(Tensor.from_rows([[1, 2], [3, 4]]))
-    i2 = g.param(Tensor.from_rows([[1, 0], [0, 1]]))
-    assert g.matmul(a, i2).t.tolist() == [[1, 2], [3, 4]]
+    a = g.param(Tensor((2, 2), [1.0, 2.0, 3.0, 4.0]))
+    i2 = g.param(Tensor((2, 2), [1.0, 0.0, 0.0, 1.0]))
+    out = g.matmul(a, i2).t
+    assert (out.shape, out.data) == ((2, 2), [1, 2, 3, 4])
 
 
 def test_matmul_against_triple_loop_oracle():
@@ -75,9 +76,10 @@ def test_matmul_against_triple_loop_oracle():
     a = rand_matrix(rng, 4, 5)
     b = rand_matrix(rng, 5, 3)
     g = Graph()
-    got = g.matmul(g.param(Tensor.from_rows(a)), g.param(Tensor.from_rows(b))).t.tolist()
-    want = matmul_oracle(a, b)
-    assert max(abs(x - y) for gr, wr in zip(got, want) for x, y in zip(gr, wr)) < 1e-12
+    got = g.matmul(g.param(Tensor((4, 5), sum(a, []))), g.param(Tensor((5, 3), sum(b, [])))).t
+    want = sum(matmul_oracle(a, b), [])
+    assert got.shape == (4, 3)
+    assert max(abs(x - y) for x, y in zip(got.data, want)) < 1e-12
 
 
 def test_matmul_randomized_shapes_vs_oracle():
@@ -87,9 +89,10 @@ def test_matmul_randomized_shapes_vs_oracle():
         a = rand_matrix(rng, m, k, 2.0)
         b = rand_matrix(rng, k, n, 2.0)
         g = Graph()
-        got = g.matmul(g.param(Tensor.from_rows(a)), g.param(Tensor.from_rows(b))).t.tolist()
-        want = matmul_oracle(a, b)
-        assert max(abs(x - y) for gr, wr in zip(got, want) for x, y in zip(gr, wr)) < 1e-12
+        got = g.matmul(g.param(Tensor((m, k), sum(a, []))), g.param(Tensor((k, n), sum(b, [])))).t
+        want = sum(matmul_oracle(a, b), [])
+        assert got.shape == (m, n)
+        assert max(abs(x - y) for x, y in zip(got.data, want)) < 1e-12
 
 
 def general_mm_data(a, m, k, b, n):
@@ -113,11 +116,28 @@ def test_mm_data_inner_dimension_one_is_bit_identical_to_the_general_loop():
         assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
 
 
+@pytest.mark.parametrize(
+    "kernel,a,m,k,b,n",
+    [
+        (mm_data, [1.0] * 3, 2, 2, [1.0] * 4, 2),
+        (mm_data, [1.0] * 4, 2, 2, [1.0] * 3, 2),
+        (mm_data, [1.0], 2, 1, [1.0] * 2, 2),
+        (mm_abt_data, [1.0] * 3, 2, 2, [1.0] * 4, 2),
+        (mm_abt_data, [1.0] * 4, 2, 2, [1.0] * 4, 3),
+    ],
+    ids=["mm_data_short_a", "mm_data_short_b", "mm_data_outer_product_short_a", "mm_abt_data_short_a",
+         "mm_abt_data_short_b"],
+)
+def test_matmul_kernels_reject_an_operand_shorter_than_its_shape(kernel, a, m, k, b, n):
+    with pytest.raises(DimensionError):
+        kernel(a, m, k, b, n)
+
+
 def test_matmul_rows_matches_one_matmul_per_row_bit_for_bit():
     rng = random.Random(6)
-    a = Tensor.from_rows(rand_matrix(rng, 5, 3))
-    w = Tensor.from_rows(rand_matrix(rng, 3, 4))
-    up = Tensor.from_rows(rand_matrix(rng, 5, 4))
+    a = Tensor((5, 3), sum(rand_matrix(rng, 5, 3), []))
+    w = Tensor((3, 4), sum(rand_matrix(rng, 3, 4), []))
+    up = Tensor((5, 4), sum(rand_matrix(rng, 5, 4), []))
 
     def grads(grouped):
         g = Graph()
@@ -147,7 +167,7 @@ def test_matmul_shape_mismatch():
 
 def test_softmax_symmetric_pair():
     g = Graph()
-    out = g.softmax_masked(g.param(Tensor.from_rows([[0.0, 0.0]])), [[True, True]])
+    out = g.softmax_masked(g.param(Tensor((1, 2), [0.0, 0.0])), [[True, True]])
     assert out.t.data == [0.5, 0.5]
 
 
@@ -156,13 +176,13 @@ def test_softmax_single_allowed_key():
     for _ in range(10):
         x, y = rng.uniform(-50, 50), rng.uniform(-50, 50)
         g = Graph()
-        out = g.softmax_masked(g.param(Tensor.from_rows([[x, y]])), [[True, False]])
+        out = g.softmax_masked(g.param(Tensor((1, 2), [x, y])), [[True, False]])
         assert out.t.data == [1.0, 0.0]
 
 
 def test_softmax_matches_direct_arithmetic():
     g = Graph()
-    out = g.softmax_masked(g.param(Tensor.from_rows([[1.0, 2.0, 3.0]])), [[True] * 3])
+    out = g.softmax_masked(g.param(Tensor((1, 3), [1.0, 2.0, 3.0])), [[True] * 3])
     want = softmax_oracle([1.0, 2.0, 3.0], [True] * 3)
     assert max(abs(a - b) for a, b in zip(out.t.data, want)) < 1e-12
 
@@ -177,9 +197,9 @@ def test_softmax_rows_sum_to_one_and_masked_zero():
             if not any(row):
                 row[rng.randrange(k)] = True
         g = Graph()
-        out = g.softmax_masked(g.param(Tensor.from_rows(scores)), mask).t
+        out = g.softmax_masked(g.param(Tensor((q, k), sum(scores, []))), mask).t
         for i in range(q):
-            row = out.row(i)
+            row = out.data[i * k : (i + 1) * k]
             assert abs(sum(row) - 1.0) <= 1e-12
             for v, ok in zip(row, mask[i]):
                 if not ok:
@@ -189,7 +209,7 @@ def test_softmax_rows_sum_to_one_and_masked_zero():
 def test_softmax_fully_masked_row_rejected():
     g = Graph()
     with pytest.raises(ContractViolationError):
-        g.softmax_masked(g.param(Tensor.from_rows([[1.0, 2.0]])), [[False, False]])
+        g.softmax_masked(g.param(Tensor((1, 2), [1.0, 2.0])), [[False, False]])
 
 
 # -- cross_entropy ------------------------------------------------------------
@@ -198,7 +218,7 @@ def test_softmax_fully_masked_row_rejected():
 def test_cross_entropy_confident_correct():
     logits = [[100.0, 0.0, 0.0], [0.0, 100.0, 0.0]]
     g = Graph()
-    loss = g.cross_entropy(g.param(Tensor.from_rows(logits)), [0, 1], [True, True])
+    loss = g.cross_entropy(g.param(Tensor((2, 3), sum(logits, []))), [0, 1], [True, True])
     assert loss.t.item() < 1e-10
 
 
@@ -214,7 +234,7 @@ def test_cross_entropy_matches_log_softmax_oracle():
     targets = [rng.randrange(5) for _ in range(3)]
     mask = [True, False, True]
     g = Graph()
-    loss = g.cross_entropy(g.param(Tensor.from_rows(logits)), targets, mask)
+    loss = g.cross_entropy(g.param(Tensor((3, 5), sum(logits, []))), targets, mask)
     assert abs(loss.t.item() - cross_entropy_oracle(logits, targets, mask)) < 1e-10
 
 
@@ -251,12 +271,13 @@ def test_layer_norm_matches_oracle():
     bias = [rng.uniform(-0.5, 0.5) for _ in range(6)]
     g = Graph()
     out = g.layer_norm(
-        g.param(Tensor.from_rows(rows)),
-        g.param(Tensor.from_rows([gain])),
-        g.param(Tensor.from_rows([bias])),
+        g.param(Tensor((4, 6), sum(rows, []))),
+        g.param(Tensor((1, 6), gain)),
+        g.param(Tensor((1, 6), bias)),
     )
-    want = layer_norm_oracle(rows, gain, bias)
-    assert max(abs(a - b) for gr, wr in zip(out.t.tolist(), want) for a, b in zip(gr, wr)) < 1e-12
+    want = sum(layer_norm_oracle(rows, gain, bias), [])
+    assert out.t.shape == (4, 6)
+    assert max(abs(a - b) for a, b in zip(out.t.data, want)) < 1e-12
 
 
 # -- structural ops --------------------------------------------------------------
@@ -264,7 +285,7 @@ def test_layer_norm_matches_oracle():
 
 def test_transpose_reshape_roundtrip():
     rng = random.Random(2)
-    x = Tensor.from_rows(rand_matrix(rng, 3, 5))
+    x = Tensor((3, 5), sum(rand_matrix(rng, 3, 5), []))
     g = Graph()
     n = g.param(x)
     assert g.transpose(g.transpose(n)).t.data == x.data
@@ -272,28 +293,32 @@ def test_transpose_reshape_roundtrip():
 
 
 def test_row_select_repeats_and_col_select():
-    x = Tensor.from_rows([[1, 2, 3], [4, 5, 6]])
+    x = Tensor((2, 3), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     g = Graph()
     n = g.param(x)
-    assert g.row_select(n, [1, 0, 1]).t.tolist() == [[4, 5, 6], [1, 2, 3], [4, 5, 6]]
-    assert g.col_select(n, [2, 0]).t.tolist() == [[3, 1], [6, 4]]
+    rows = g.row_select(n, [1, 0, 1]).t
+    assert (rows.shape, rows.data) == ((3, 3), [4, 5, 6, 1, 2, 3, 4, 5, 6])
+    cols = g.col_select(n, [2, 0]).t
+    assert (cols.shape, cols.data) == ((2, 2), [3, 1, 6, 4])
 
 
 def test_concat_rows_and_cols():
     g = Graph()
-    a = g.param(Tensor.from_rows([[1, 2]]))
-    b = g.param(Tensor.from_rows([[3, 4], [5, 6]]))
-    assert g.concat_rows([a, b]).t.tolist() == [[1, 2], [3, 4], [5, 6]]
-    c = g.param(Tensor.from_rows([[7], [8]]))
-    d = g.param(Tensor.from_rows([[9, 10], [11, 12]]))
-    assert g.concat_cols([c, d]).t.tolist() == [[7, 9, 10], [8, 11, 12]]
+    a = g.param(Tensor((1, 2), [1.0, 2.0]))
+    b = g.param(Tensor((2, 2), [3.0, 4.0, 5.0, 6.0]))
+    rows = g.concat_rows([a, b]).t
+    assert (rows.shape, rows.data) == ((3, 2), [1, 2, 3, 4, 5, 6])
+    c = g.param(Tensor((2, 1), [7.0, 8.0]))
+    d = g.param(Tensor((2, 2), [9.0, 10.0, 11.0, 12.0]))
+    cols = g.concat_cols([c, d]).t
+    assert (cols.shape, cols.data) == ((2, 3), [7, 9, 10, 8, 11, 12])
 
 
 # -- gradients -----------------------------------------------------------------
 
 
 def test_grad_check_quadratic():
-    x = Tensor.from_rows([[1.0, 2.0]])
+    x = Tensor((1, 2), [1.0, 2.0])
 
     def loss(g, nodes):
         return g.sum_all(g.mul(nodes[0], nodes[0]))
@@ -302,7 +327,9 @@ def test_grad_check_quadratic():
     g = Graph()
     n = g.param(x)
     g.backward(g.sum_all(g.mul(n, n)))
-    assert g.grad(n).allclose(Tensor.from_rows([[2.0, 4.0]]), tol=1e-12)
+    grad = g.grad(n)
+    assert grad.shape == (1, 2)
+    assert all(abs(a - b) <= 1e-12 for a, b in zip(grad.data, [2.0, 4.0]))
 
 
 @pytest.mark.parametrize(
@@ -311,7 +338,6 @@ def test_grad_check_quadratic():
         "matmul",
         "matmul_rows",
         "add",
-        "sub",
         "mul",
         "scale",
         "smul",
@@ -330,12 +356,12 @@ def test_grad_check_quadratic():
 )
 def test_grad_check_each_op(opname):
     rng = random.Random(derive_seed(17, opname) % 2**32)
-    a = Tensor.from_rows(rand_matrix(rng, 3, 4))
-    b = Tensor.from_rows(rand_matrix(rng, 4, 2))
-    w = Tensor.from_rows(rand_matrix(rng, 3, 4))
-    s = Tensor.scalar(0.7)
-    gain = Tensor.from_rows([[1.1, 0.9, 1.0, 1.2]])
-    bias = Tensor.from_rows([[0.1, -0.2, 0.0, 0.3]])
+    a = Tensor((3, 4), sum(rand_matrix(rng, 3, 4), []))
+    b = Tensor((4, 2), sum(rand_matrix(rng, 4, 2), []))
+    w = Tensor((3, 4), sum(rand_matrix(rng, 3, 4), []))
+    s = Tensor((1, 1), [0.7])
+    gain = Tensor((1, 4), [1.1, 0.9, 1.0, 1.2])
+    bias = Tensor((1, 4), [0.1, -0.2, 0.0, 0.3])
     mask = [[True, True, False, True], [True, False, True, True], [False, True, True, True]]
 
     def build(g, nodes):
@@ -346,8 +372,6 @@ def test_grad_check_each_op(opname):
             out = g.matmul_rows(na, nb)
         elif opname == "add":
             out = g.add(na, nw)
-        elif opname == "sub":
-            out = g.sub(na, nw)
         elif opname == "mul":
             out = g.mul(na, nw)
         elif opname == "scale":
@@ -384,7 +408,7 @@ def test_grad_check_each_op(opname):
 
 def test_backward_accumulates_shared_parents():
     # y = x*x + x used twice: dy/dx = 2x + 1
-    x = Tensor.from_rows([[3.0]])
+    x = Tensor((1, 1), [3.0])
     g = Graph()
     n = g.param(x)
     g.backward(g.sum_all(g.add(g.mul(n, n), n)))

@@ -90,18 +90,18 @@ def test_assign_rejects_fewer_layers_than_taps():
 def test_encode_degenerate_single_layer():
     cfg = EncoderConfig(layers=1, patch_count=3, feature_dim=4, tap_window=1, num_taps=1)
     enc = VisionEncoder(cfg, seed=0)
-    feats = enc.encode(Tensor.randn((3, 4), derive_seed(0, "patches")))
-    assert feats.source_layers == [0]
-    assert len(feats.taps) == 1
-    assert feats.taps[0].shape == (3, 4)
+    taps = enc.encode(Tensor.randn((3, 4), derive_seed(0, "patches")))
+    assert enc.schedule == [0]
+    assert len(taps) == 1
+    assert taps[0].shape == (3, 4)
 
 
 def test_encode_toy_schedule_and_shapes():
     cfg = EncoderConfig(layers=12, patch_count=5, feature_dim=8, tap_window=8, num_taps=4)
     enc = VisionEncoder(cfg, seed=7)
-    feats = enc.encode(Tensor.randn((5, 8), derive_seed(7, "patches")))
-    assert feats.source_layers == [5, 7, 9, 11]
-    assert all(t.shape == (5, 8) for t in feats.taps)
+    taps = enc.encode(Tensor.randn((5, 8), derive_seed(7, "patches")))
+    assert enc.schedule == [5, 7, 9, 11]
+    assert all(t.shape == (5, 8) for t in taps)
 
 
 def test_encode_zero_weights_is_identity():
@@ -110,8 +110,7 @@ def test_encode_zero_weights_is_identity():
     for t in enc.params.values():
         t.data[:] = [0.0] * t.size
     patches = Tensor.randn((4, 6), derive_seed(3, "patches"))
-    feats = enc.encode(patches)
-    for tap in feats.taps:
+    for tap in enc.encode(patches):
         assert tap.data == patches.data
 
 
@@ -120,11 +119,11 @@ def test_encode_deterministic_and_taps_distinct():
     patches = Tensor.randn((4, 8), derive_seed(9, "patches"))
     a = VisionEncoder(cfg, seed=5).encode(patches)
     b = VisionEncoder(cfg, seed=5).encode(patches)
-    for ta, tb in zip(a.taps, b.taps):
+    for ta, tb in zip(a, b):
         assert ta.data == tb.data
-    for i in range(len(a.taps)):
-        for j in range(i + 1, len(a.taps)):
-            assert a.taps[i].data != a.taps[j].data
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            assert a[i].data != a[j].data
 
 
 def test_encode_rejects_wrong_patch_shape():
