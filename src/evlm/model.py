@@ -8,6 +8,7 @@ import contextlib
 import functools
 import math
 import os
+from array import array
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping, Sequence
 
@@ -221,6 +222,9 @@ class FusedModel:
         self.group_of = group_of
         self.meta: dict[str, str] = {}  # free-form checkpoint metadata
         self.last_routing_stats: list[RoutingStats] | None = None  # per xattn layer
+        # (frozen block count, those blocks' parameter bytes), and per image key
+        # the outputs of those blocks; see encode_images
+        self._vision_prefix: tuple[tuple[int, bytes] | None, dict[tuple, list[Tensor]]] = (None, {})
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -230,15 +234,55 @@ class FusedModel:
     # -- forward -----------------------------------------------------------
 
     def encode_images(
-        self, g: Graph, images: Sequence[Tensor], nodes: Mapping[str, Node]
+        self, g: Graph, images: Sequence[Tensor], nodes: Mapping[str, Node], frozen_blocks: int = 0
     ) -> list[list[Node]]:
-        """Per image, the tapped feature sequences (inside this graph)."""
+        """Per image, the tapped feature sequences (inside this graph).
+
+        With frozen_blocks = F > 0, the outputs of vision blocks 0..F-1 are
+        kept per image, keyed by the exact bytes of its patches and of those
+        blocks' parameters (so an edit of 0.0 to -0.0 is a change). An image
+        whose key was kept enters them as constants and runs only blocks F..;
+        any other runs every block, and the values are read from this graph.
+        Only the entries this call used are kept. The caller passes F only
+        when no parameter of blocks 0..F-1 is trained: the constants pass no
+        gradient back to them, and every forward value is the same float.
+        """
         vision_nodes = {
             name.removeprefix("vision."): node
             for name, node in nodes.items()
             if name.startswith("vision.")
         }
-        return [self.vision.encode_nodes(g, g.constant(patches), vision_nodes) for patches in images]
+        if not frozen_blocks:
+            return [self.vision.encode_nodes(g, g.constant(patches), vision_nodes) for patches in images]
+        weights = array("d")
+        for name, node in vision_nodes.items():
+            if VisionEncoder.block_index(name) < frozen_blocks:
+                weights.extend(node.t.data)
+        weights_key = (frozen_blocks, weights.tobytes())
+        known_key, known = self._vision_prefix
+        if known_key != weights_key:
+            known = {}
+        kept: dict[tuple, list[Tensor]] = {}
+        out = []
+        for patches in images:
+            key = (patches.shape, array("d", patches.data).tobytes())
+            prefix = kept.get(key) or known.get(key)
+            blocks = [g.constant(t) for t in prefix] if prefix else []
+            out.append(self.vision.encode_nodes(g, g.constant(patches), vision_nodes, blocks))
+            kept[key] = prefix or [node.t for node in blocks[:frozen_blocks]]
+        self._vision_prefix = (weights_key, kept)
+        return out
+
+    def frozen_vision_blocks(self, trainable_groups: Mapping[str, bool]) -> int:
+        """The number of leading vision blocks with no trainable parameter."""
+        return min(
+            (
+                VisionEncoder.block_index(name.removeprefix("vision."))
+                for name, group in self.group_of.items()
+                if name.startswith("vision.") and trainable_groups.get(group, False)
+            ),
+            default=self.cfg.encoder.layers,
+        )
 
     def encode_images_tensors(self, images: Sequence[Tensor]) -> list[list[Tensor]]:
         """Frozen-vision fast path: encode once outside any training graph."""
@@ -263,7 +307,10 @@ class FusedModel:
         table (text token t is row t, media slot s is row vocab + s), plus
         positions."""
         self._check_stream(seq)
-        table = g.concat_rows([nodes["llm.tok_emb"], nodes["media.table"]])
+        tok, media = nodes["llm.tok_emb"], nodes["media.table"]
+        # one stack per graph: its gradient still adds the samples' row deltas
+        # in reverse sample order, as one stack per sample did
+        table = g.memo(("embed_table", tok.idx, media.idx), lambda: g.concat_rows([tok, media]))
         rows = [e.token if isinstance(e, Text) else self.cfg.vocab + e.slot for e in seq.elements]
         pos = g.row_select(nodes["llm.pos_emb"], list(range(len(seq))))
         return g.add(g.row_select(table, rows), pos)
@@ -360,17 +407,21 @@ class FusedModel:
         nodes: Mapping[str, Node],
         batch: Sequence[tuple[InterleavedSequence, Sequence[Tensor] | Sequence[Sequence[Tensor]]]],
         taps_precomputed: bool,
+        frozen_blocks: int,
     ) -> Node:
         """Mean per-sample loss over the batch plus the weighted MoE aux loss.
-        Records the batch's routing in last_routing_stats."""
+        Records the batch's routing in last_routing_stats. Every image of the
+        batch goes through one encode_images call (with frozen_blocks), so
+        the kept frozen-prefix entries cover the whole batch."""
         total: Node | None = None
         moe_stats: dict[int, RoutingStats] | None = {} if self.banks is not None else None
-        for seq, imgs in batch:
-            if taps_precomputed:
-                taps = [[g.constant(t) for t in img_taps] for img_taps in imgs]
-            else:
-                taps = self.encode_images(g, imgs, nodes)
-            logits = self.forward_nodes(g, seq, taps, nodes, moe_stats=moe_stats)
+        if taps_precomputed:
+            taps = [[[g.constant(t) for t in img_taps] for img_taps in imgs] for _, imgs in batch]
+        else:
+            encoded = iter(self.encode_images(g, [p for _, imgs in batch for p in imgs], nodes, frozen_blocks))
+            taps = [[next(encoded) for _ in imgs] for _, imgs in batch]
+        for (seq, _), sample_taps in zip(batch, taps):
+            logits = self.forward_nodes(g, seq, sample_taps, nodes, moe_stats=moe_stats)
             sample_loss = self.loss_nodes(g, logits, seq)
             total = sample_loss if total is None else g.add(total, sample_loss)
         mean = g.scale(total, 1.0 / len(batch))
@@ -401,17 +452,23 @@ class FusedModel:
         """One full-batch SGD step; returns the pre-step batch loss.
 
         With taps_precomputed, each batch entry carries per-image tap tensor
-        lists (frozen-vision fast path) instead of raw patch tensors. The step
-        is all or nothing: a non-finite lr raises ConfigError and a non-finite
-        updated value raises NonFiniteError, both with no parameter changed.
+        lists (frozen-vision fast path) instead of raw patch tensors. Raw
+        patches run the leading vision blocks no trainable group reaches once
+        per image, not once per step (see encode_images). The step is all or
+        nothing: a non-finite lr or a trainable_groups key outside ALL_GROUPS
+        raises ConfigError and a non-finite updated value raises
+        NonFiniteError, all with no parameter changed.
         """
         if not batch:
             raise ConfigError("empty batch")
         if not math.isfinite(lr):
             raise ConfigError(f"lr must be finite, got {lr!r}")
+        unknown = set(trainable_groups) - set(ALL_GROUPS)
+        if unknown:
+            raise ConfigError(f"unknown parameter groups {sorted(unknown)} (expected some of {list(ALL_GROUPS)})")
         g = Graph()
         nodes = self.param_nodes(g)
-        loss = self._batch_loss(g, nodes, batch, taps_precomputed)
+        loss = self._batch_loss(g, nodes, batch, taps_precomputed, self.frozen_vision_blocks(trainable_groups))
         g.backward(loss)
         # every new value is computed and checked before any parameter changes
         updates = []
@@ -515,7 +572,8 @@ def train_smoke(
     losses = [model.sgd_step(batch, lr, trainable, taps_precomputed=vision_frozen) for _ in range(steps)]
     # evaluate the final state, forward only, so the curve is steps+1 long
     g = Graph()
-    losses.append(model._batch_loss(g, model.param_nodes(g), batch, vision_frozen).t.item())
+    frozen = model.frozen_vision_blocks(trainable)
+    losses.append(model._batch_loss(g, model.param_nodes(g), batch, vision_frozen, frozen).t.item())
     return SmokeResult(model=model, losses=losses)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from math import isfinite
 from operator import mul as _opmul
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from ..errors import ContractViolationError, DimensionError, NonFiniteError
 from .tensor import Tensor
@@ -93,6 +93,7 @@ class Graph:
         self._values: list[Tensor] = []
         self._bwd: list[BackwardFn | None] = []
         self._grads: list[list[float] | None] | None = None
+        self._memo: dict[Hashable, Node] = {}
 
     # -- tape plumbing ----------------------------------------------------
 
@@ -108,6 +109,13 @@ class Graph:
 
     def constant(self, t: Tensor) -> Node:
         return self._emit(t, None)
+
+    def memo(self, key: Hashable, build: Callable[[], Node]) -> Node:
+        """The node build() returns on this graph's first call with key,
+        returned again on every later call with key."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def backward(self, root: Node) -> None:
         """Seed d(root)=1 and sweep the tape once in reverse topological order."""

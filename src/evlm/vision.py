@@ -76,10 +76,17 @@ class VisionEncoder:
     def block_index(name: str) -> int:
         return int(name.split(".", 1)[0].removeprefix("block"))
 
-    def encode_nodes(self, g: Graph, patches: Node, nodes: Mapping[str, Node]) -> list[Node]:
-        """Run all blocks inside an existing graph and return the taps, one
+    def encode_nodes(
+        self, g: Graph, patches: Node, nodes: Mapping[str, Node], blocks: list[Node] | None = None
+    ) -> list[Node]:
+        """Run the blocks inside an existing graph and return the taps, one
         (patch_count, feature_dim) output per layer of `schedule`, shallow to
-        deep; nodes maps this encoder's parameter names to graph nodes."""
+        deep; nodes maps this encoder's parameter names to graph nodes.
+
+        `blocks`, when given, holds the outputs of the first len(blocks)
+        blocks already (say, a frozen prefix's values entered as constants):
+        only the blocks after them run, from the last of them, and each output
+        they produce is appended to it."""
         cfg = self.cfg
         if patches.t.shape != (cfg.patch_count, cfg.feature_dim):
             raise DimensionError(
@@ -87,13 +94,12 @@ class VisionEncoder:
             )
         s = cfg.patch_count
         full_mask = [[True] * s for _ in range(s)]
-        x = patches
-        taps = []
-        for i in range(cfg.layers):
+        outputs = [] if blocks is None else blocks
+        x = outputs[-1] if outputs else patches
+        for i in range(len(outputs), cfg.layers):
             x = block(g, x, nodes, f"block{i}.", 1, full_mask)
-            if i in self.schedule:
-                taps.append(x)
-        return taps
+            outputs.append(x)
+        return [outputs[i] for i in self.schedule]
 
     def encode(self, patches: Tensor) -> list[Tensor]:
         """Standalone forward pass returning the taps as plain tensors."""

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import random
+from array import array
 
 import pytest
 
@@ -326,6 +327,149 @@ def test_sgd_step_with_a_non_finite_gradient_changes_no_parameter(monkeypatch):
         model.sgd_step(batch, lr=0.5, trainable_groups=trainable)
     assert len(calls) == n_trainable
     assert _param_snapshot(model) == before
+
+
+def test_sgd_step_rejects_an_unknown_group_without_touching_parameters():
+    model = freeze_test_model()
+    batch = [(mixed_sequence(model, random.Random(20), num_images=1), rand_images(model, 1, 21))]
+    trainable = freeze_stage("sft")
+    trainable["vit_last_quater"] = trainable.pop("vit_last_quarter")  # a typo that would freeze the group
+    before = _param_snapshot(model)
+    with pytest.raises(ConfigError, match="vit_last_quater"):
+        model.sgd_step(batch, lr=0.5, trainable_groups=trainable)
+    assert _param_snapshot(model) == before
+
+
+# -- the frozen vision prefix: sgd_step runs it once per image --------------------------
+
+# name -> (config overrides, stage, leading vision blocks the stage leaves frozen)
+_PREFIX_CASES = {
+    "moe-sft-image": (dict(moe=MoEConfig(n_replicas=2, segments=2, top_k=2, aux_loss_weight=0.01)), "sft", 3),
+    "dense-phase2-video": (dict(mask_mode="video"), "pretrain_phase2", 2),
+    "dense-continual-image": ({}, "continual", 2),
+    "dense-phase1-image": ({}, "pretrain_phase1", 4),
+}
+_VISION_BLOCK_MATMULS = 8  # q, k, v, q·kᵀ, ·v, wo, w_in, w_out
+
+_PREFIX_PARAM_SHA256 = {
+    "moe-sft-image": "495b07a40135fe45514d3731732a15f8569cb942d6610dae1665f17949bce169",
+    "dense-phase2-video": "16721e43df9d31315fc98fd82a352690420aa34e50b82c24daeedb5a5f909da2",
+    "dense-continual-image": "5edd3df76db78ed8589ae3c67b2fe4b070c97a241023844e8a9140cb75ea7fa0",
+    "dense-phase1-image": "27123638d39b45d52dbe8561c6f740fdb73fc426d72f65668ddb60cb81b829e1",
+}
+
+
+def prefix_case(name):
+    """An open-gated model with a 4-block encoder, a two-sample batch over
+    three distinct raw images, and the stage's trainable groups."""
+    overrides, stage, _ = _PREFIX_CASES[name]
+    cfg = tiny_config(
+        encoder=EncoderConfig(layers=4, patch_count=3, feature_dim=4, tap_window=4, num_taps=2), **overrides
+    )
+    model = open_model(cfg, seed=40)
+    rng = random.Random(41)
+    batch = [
+        (mixed_sequence(model, rng, num_images=2), rand_images(model, 2, 42)),
+        (mixed_sequence(model, rng, num_images=1), rand_images(model, 1, 43)),
+    ]
+    return model, batch, freeze_stage(stage)
+
+
+def param_digest(model):
+    """sha256 of every parameter's float bytes, so a -0.0 differs from 0.0."""
+    data = array("d")
+    for name in sorted(model.params):
+        data.extend(model.params[name].data)
+    return hashlib.sha256(data.tobytes()).hexdigest()
+
+
+def counting_matmuls(monkeypatch):
+    calls = []
+    matmul = Graph.matmul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return matmul(self, a, b)
+
+    monkeypatch.setattr(Graph, "matmul", counted)
+    return calls
+
+
+def test_a_step_stacks_the_embedding_tables_once(monkeypatch):
+    # media.table trains in every stage, so the pins below cover the stack's gradient order
+    model, batch, trainable = prefix_case("dense-continual-image")
+    stacks = []
+    concat_rows = Graph.concat_rows
+
+    def counted(self, parts):
+        if parts[0].t is model.params["llm.tok_emb"]:
+            stacks.append(parts)
+        return concat_rows(self, parts)
+
+    monkeypatch.setattr(Graph, "concat_rows", counted)
+    model.sgd_step(batch, lr=0.5, trainable_groups=trainable)
+    assert len(batch) == 2 and len(stacks) == 1
+
+
+@pytest.mark.parametrize("case", list(_PREFIX_CASES))
+def test_parameters_after_three_steps_are_pinned(case):
+    model, batch, trainable = prefix_case(case)
+    for _ in range(3):
+        model.sgd_step(batch, lr=0.5, trainable_groups=trainable)
+    assert param_digest(model) == _PREFIX_PARAM_SHA256[case]
+
+
+@pytest.mark.parametrize("case", list(_PREFIX_CASES))
+def test_a_repeated_step_skips_the_frozen_prefix_blocks(monkeypatch, case):
+    frozen = _PREFIX_CASES[case][2]
+    model, batch, trainable = prefix_case(case)
+    calls = counting_matmuls(monkeypatch)
+    counts = []
+    for _ in range(3):
+        del calls[:]
+        model.sgd_step(batch, lr=0.5, trainable_groups=trainable)
+        counts.append(len(calls))
+    images = sum(len(imgs) for _, imgs in batch)
+    assert counts[0] - counts[1] == frozen * _VISION_BLOCK_MATMULS * images
+    assert counts[1] == counts[2]
+
+
+def _negative_zero(model, batch):
+    t = model.params["vision.block0.ln1.bias"]
+    assert repr(t.data[0]) == "0.0"
+    t.data[0] = -0.0
+    return 3  # every image's key changed
+
+
+def _one_ulp(model, batch):
+    t = model.params["vision.block1.w_in"]
+    t.data[5] = math.nextafter(t.data[5], math.inf)
+    return 3
+
+
+def _patch_entry(model, batch):
+    patches = batch[0][1][1]
+    patches.data[2] = math.nextafter(patches.data[2], -math.inf)
+    return 1  # only this image's key changed
+
+
+@pytest.mark.parametrize("edit", [_negative_zero, _one_ulp, _patch_entry], ids=["negative-zero", "one-ulp", "patch"])
+def test_a_step_after_an_in_place_edit_equals_the_step_on_a_fresh_model(monkeypatch, edit):
+    model, batch, trainable = prefix_case("moe-sft-image")
+    frozen = _PREFIX_CASES["moe-sft-image"][2]
+    model.sgd_step(batch, lr=0.5, trainable_groups=trainable)
+    calls = counting_matmuls(monkeypatch)
+    model.sgd_step(batch, lr=0.5, trainable_groups=trainable)
+    all_hits = len(calls)
+    misses = edit(model, batch)
+    fresh = FusedModel(model.cfg, seed=0)
+    for name, t in fresh.params.items():
+        t.data[:] = model.params[name].data
+    del calls[:]
+    loss = model.sgd_step(batch, lr=0.5, trainable_groups=trainable)
+    assert len(calls) == all_hits + frozen * _VISION_BLOCK_MATMULS * misses
+    assert repr(loss) == repr(fresh.sgd_step(batch, lr=0.5, trainable_groups=trainable))
+    assert param_digest(model) == param_digest(fresh)
 
 
 # -- smoke training and probe ----------------------------------------------------------
