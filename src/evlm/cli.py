@@ -25,6 +25,7 @@ from .flops import (
 )
 from .fusion import ImageMarker, build_cross_mask_image, build_cross_mask_video, format_mask_dump, insert_media_tokens
 from .model import (
+    STAGE_TRAINABLE,
     ModelConfig,
     caption_tokens,
     config_fields,
@@ -72,8 +73,11 @@ def load_run_config(path: str) -> RunConfig:
     Unknown sections and keys are rejected and every dataclass invariant is
     re-validated."""
     parser = configparser.ConfigParser(interpolation=None)
-    if not parser.read(path):
-        raise EvlmError(f"cannot read config file {path!r}")
+    try:
+        if not parser.read(path):
+            raise EvlmError(f"cannot read config file {path!r}")
+    except configparser.Error as exc:  # its messages can span lines; error output is one
+        raise EvlmError(" ".join(str(exc).split())) from exc
     allowed = {
         "run": {"seed"},
         "model": set(config_fields(ModelConfig)),
@@ -280,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--steps", type=int)
     t.add_argument("--seed", type=int)
     t.add_argument("--lr", type=float)
-    t.add_argument("--stage", choices=["pretrain_phase1", "pretrain_phase2", "continual", "sft"])
+    t.add_argument("--stage", choices=list(STAGE_TRAINABLE))
     t.add_argument("--out", default="smoke.ckpt")
     t.set_defaults(func=cmd_train_smoke)
 

@@ -11,8 +11,6 @@ from .errors import ConfigError, DimensionError, SequenceError
 from .layers import attention, ffn
 from .numerics import Graph, Init, Node, Tensor, seeded_init
 
-MEDIA_LEN_DEFAULT = 16  # learnable tokens inserted per image
-
 
 @dataclass(frozen=True)
 class Text:
@@ -44,7 +42,7 @@ class InterleavedSequence:
     """
 
     elements: list[Element]
-    media_len: int = MEDIA_LEN_DEFAULT
+    media_len: int
     num_images: int = 0
 
     def __post_init__(self):
@@ -77,9 +75,7 @@ class InterleavedSequence:
         return len(self.elements)
 
 
-def insert_media_tokens(
-    items: Iterable[int | ImageMarker], media_len: int = MEDIA_LEN_DEFAULT
-) -> InterleavedSequence:
+def insert_media_tokens(items: Iterable[int | ImageMarker], media_len: int) -> InterleavedSequence:
     """Expand each image marker into media_len slots, preserving text order.
 
     Markers must reference images 0..n-1 in order, each exactly once.

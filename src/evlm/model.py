@@ -172,15 +172,12 @@ class FusedModel:
         layers = cfg.encoder.layers
         quarter_start = layers - math.ceil(layers / 4)
         half_start = layers - math.ceil(layers / 2)
+        self.vision_groups = [  # the group of each vision block
+            "vit_last_quarter" if i >= quarter_start else "vit_back_half" if i >= half_start else "vit_front"
+            for i in range(layers)
+        ]
         for name, t in self.vision.params.items():
-            i = VisionEncoder.block_index(name)
-            if i >= quarter_start:
-                group = "vit_last_quarter"
-            elif i >= half_start:
-                group = "vit_back_half"
-            else:
-                group = "vit_front"
-            reg(f"vision.{name}", t, group)
+            reg(name, t, self.vision_groups[VisionEncoder.block_index(name)])
 
         # shared media-token table, one row per slot, reused for every image
         reg("media.table", init((cfg.media_len, h), "media.table", h**-0.5), "media_tokens")
@@ -204,27 +201,23 @@ class FusedModel:
                 h, cfg.encoder.feature_dim, cfg.r_xc, cfg.r_xf, seed, prefix=f"xattn.{t}", init=init
             )
             self.xattn_layers.append(layer)
-            prefix = f"xattn.{t}."
-            if cfg.moe is None:
-                for name, t_param in layer.params.items():
-                    reg(prefix + name, t_param, "xattn")
-            else:
+            bank_items = []
+            if cfg.moe is not None:
                 # the dense FFN is consumed by upcycling; the bank replaces it
-                dense = DenseFFN(layer.params.pop("ffn.w_in"), layer.params.pop("ffn.w_out"))
-                for name, t_param in layer.params.items():
-                    reg(prefix + name, t_param, "xattn")
-                bank = upcycle(dense, cfg.moe)
+                bank = upcycle(DenseFFN(layer.params.pop("ffn.w_in"), layer.params.pop("ffn.w_out")), cfg.moe)
                 self.banks.append(bank)
-                for name, t_param in bank.param_items(prefix=f"xattn.{t}.moe"):
-                    reg(name, t_param, "moe")
+                bank_items = bank.param_items(prefix=f"xattn.{t}.moe")
+            for name, t_param in layer.params.items():
+                reg(f"xattn.{t}.{name}", t_param, "xattn")
+            for name, t_param in bank_items:
+                reg(name, t_param, "moe")
 
         self.params = params
         self.group_of = group_of
         self.meta: dict[str, str] = {}  # free-form checkpoint metadata
         self.last_routing_stats: list[RoutingStats] | None = None  # per xattn layer
-        # (frozen block count, those blocks' parameter bytes), and per image key
-        # the outputs of those blocks; see encode_images
-        self._vision_prefix: tuple[tuple[int, bytes] | None, dict[tuple, list[Tensor]]] = (None, {})
+        # the outputs of the frozen vision blocks per image; see encode_images
+        self._vision_prefix: dict[tuple, list[Tensor]] = {}
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -238,51 +231,36 @@ class FusedModel:
     ) -> list[list[Node]]:
         """Per image, the tapped feature sequences (inside this graph).
 
-        With frozen_blocks = F > 0, the outputs of vision blocks 0..F-1 are
-        kept per image, keyed by the exact bytes of its patches and of those
-        blocks' parameters (so an edit of 0.0 to -0.0 is a change). An image
-        whose key was kept enters them as constants and runs only blocks F..;
-        any other runs every block, and the values are read from this graph.
-        Only the entries this call used are kept. The caller passes F only
-        when no parameter of blocks 0..F-1 is trained: the constants pass no
-        gradient back to them, and every forward value is the same float.
+        The outputs of vision blocks 0..F-1, F = frozen_blocks, are kept per
+        image, keyed by F and the exact bytes of those blocks' parameters and
+        of its patches (so an edit of 0.0 to -0.0 is a change). An image whose
+        key was kept enters them as constants and runs only blocks F..; any
+        other runs every block, and the values are read from this graph. With
+        F = 0 the kept prefix is empty and nothing is reused. Only the entries
+        this call used are kept. The caller passes F only when no parameter of
+        blocks 0..F-1 is trained: the constants pass no gradient back to them,
+        and every forward value is the same float.
         """
-        vision_nodes = {
-            name.removeprefix("vision."): node
-            for name, node in nodes.items()
-            if name.startswith("vision.")
-        }
-        if not frozen_blocks:
-            return [self.vision.encode_nodes(g, g.constant(patches), vision_nodes) for patches in images]
         weights = array("d")
-        for name, node in vision_nodes.items():
+        for name, t in self.vision.params.items():
             if VisionEncoder.block_index(name) < frozen_blocks:
-                weights.extend(node.t.data)
+                weights.extend(t.data)
         weights_key = (frozen_blocks, weights.tobytes())
-        known_key, known = self._vision_prefix
-        if known_key != weights_key:
-            known = {}
         kept: dict[tuple, list[Tensor]] = {}
         out = []
         for patches in images:
-            key = (patches.shape, array("d", patches.data).tobytes())
-            prefix = kept.get(key) or known.get(key)
+            key = (weights_key, patches.shape, array("d", patches.data).tobytes())
+            prefix = kept.get(key) or self._vision_prefix.get(key)
             blocks = [g.constant(t) for t in prefix] if prefix else []
-            out.append(self.vision.encode_nodes(g, g.constant(patches), vision_nodes, blocks))
+            out.append(self.vision.encode_nodes(g, g.constant(patches), nodes, blocks))
             kept[key] = prefix or [node.t for node in blocks[:frozen_blocks]]
-        self._vision_prefix = (weights_key, kept)
+        self._vision_prefix = kept
         return out
 
     def frozen_vision_blocks(self, trainable_groups: Mapping[str, bool]) -> int:
         """The number of leading vision blocks with no trainable parameter."""
-        return min(
-            (
-                VisionEncoder.block_index(name.removeprefix("vision."))
-                for name, group in self.group_of.items()
-                if name.startswith("vision.") and trainable_groups.get(group, False)
-            ),
-            default=self.cfg.encoder.layers,
-        )
+        trained = (i for i, group in enumerate(self.vision_groups) if trainable_groups.get(group, False))
+        return next(trained, len(self.vision_groups))
 
     def encode_images_tensors(self, images: Sequence[Tensor]) -> list[list[Tensor]]:
         """Frozen-vision fast path: encode once outside any training graph."""
@@ -557,9 +535,8 @@ def train_smoke(
         raise ConfigError(f"vocab must be >= {TOK_CLASS_BASE + classes} for {classes} classes")
     model = FusedModel(cfg, seed)
     trainable = freeze_stage(stage)
-    vision_frozen = not any(
-        trainable[group] for group in ("vit_front", "vit_back_half", "vit_last_quarter")
-    )
+    frozen = model.frozen_vision_blocks(trainable)
+    vision_frozen = frozen == cfg.encoder.layers
 
     batch = []
     for c in range(classes):
@@ -572,7 +549,6 @@ def train_smoke(
     losses = [model.sgd_step(batch, lr, trainable, taps_precomputed=vision_frozen) for _ in range(steps)]
     # evaluate the final state, forward only, so the curve is steps+1 long
     g = Graph()
-    frozen = model.frozen_vision_blocks(trainable)
     losses.append(model._batch_loss(g, model.param_nodes(g), batch, vision_frozen, frozen).t.item())
     return SmokeResult(model=model, losses=losses)
 

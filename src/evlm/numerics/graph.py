@@ -90,7 +90,6 @@ class Graph:
     """Operation tape plus per-node gradients populated by backward()."""
 
     def __init__(self) -> None:
-        self._values: list[Tensor] = []
         self._bwd: list[BackwardFn | None] = []
         self._grads: list[list[float] | None] | None = None
         self._memo: dict[Hashable, Node] = {}
@@ -98,10 +97,8 @@ class Graph:
     # -- tape plumbing ----------------------------------------------------
 
     def _emit(self, t: Tensor, bwd: BackwardFn | None) -> Node:
-        idx = len(self._values)
-        self._values.append(t)
         self._bwd.append(bwd)
-        return Node(t, idx)
+        return Node(t, len(self._bwd) - 1)
 
     def param(self, t: Tensor) -> Node:
         """Register a leaf tensor; its gradient is available after backward."""
@@ -287,10 +284,7 @@ class Graph:
 
     def reshape(self, a: Node, shape: Sequence[int]) -> Node:
         shape = tuple(int(s) for s in shape)
-        n = 1
-        for s in shape:
-            n *= s
-        if n != a.t.size:
+        if math.prod(shape) != a.t.size:
             raise DimensionError(f"reshape {a.t.shape} -> {shape}")
 
         def bwd(g: list[float], acc) -> None:

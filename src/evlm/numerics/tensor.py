@@ -8,8 +8,8 @@ NaN/Inf surfaces at the operation that produced it.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
-from math import isfinite
 from typing import Callable
 
 from ..errors import DimensionError, NonFiniteError
@@ -36,12 +36,9 @@ class Tensor:
         if check:
             if any(s <= 0 for s in shape):
                 raise DimensionError(f"non-positive extent in shape {shape}")
-            n = 1
-            for s in shape:
-                n *= s
-            if n != len(data):
+            if math.prod(shape) != len(data):
                 raise DimensionError(f"shape {shape} does not match {len(data)} values")
-            if not all(map(isfinite, data)):
+            if not all(map(math.isfinite, data)):
                 raise NonFiniteError(f"non-finite value in tensor of shape {shape}")
         self.shape = shape
         self.data = data
@@ -54,28 +51,19 @@ class Tensor:
 
     @classmethod
     def full(cls, shape: Shape, value: float) -> "Tensor":
-        n = 1
-        for s in shape:
-            n *= s
-        return cls(shape, [float(value)] * n)
+        return cls(shape, [float(value)] * math.prod(shape))
 
     @classmethod
     def randn(cls, shape: Shape, seed: int, std: float = 1.0) -> "Tensor":
         """Seeded Gaussian init; identical seed gives bit-identical data."""
         rng = random.Random(seed)
-        n = 1
-        for s in shape:
-            n *= s
-        return cls(shape, [rng.gauss(0.0, 1.0) * std for _ in range(n)])
+        return cls(shape, [rng.gauss(0.0, 1.0) * std for _ in range(math.prod(shape))])
 
     # -- helpers --------------------------------------------------------
 
     @property
     def size(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
+        return math.prod(self.shape)
 
     @property
     def rows(self) -> int:

@@ -65,8 +65,9 @@ class VisionEncoder:
         init = init or seeded_init(seed)
         self.cfg = cfg
         d = cfg.feature_dim
+        self.prefix = prefix
         self.params = {
-            f"block{i}.{name}": t
+            f"{prefix}.block{i}.{name}": t
             for i in range(cfg.layers)
             for name, t in block_params(init, f"{prefix}.block{i}.", d, FFN_MULT * d).items()
         }
@@ -74,14 +75,15 @@ class VisionEncoder:
 
     @staticmethod
     def block_index(name: str) -> int:
-        return int(name.split(".", 1)[0].removeprefix("block"))
+        """i of a parameter name `<prefix>.block<i>.<local name>`."""
+        return int(name.split(".block", 1)[1].split(".", 1)[0])
 
     def encode_nodes(
         self, g: Graph, patches: Node, nodes: Mapping[str, Node], blocks: list[Node] | None = None
     ) -> list[Node]:
         """Run the blocks inside an existing graph and return the taps, one
         (patch_count, feature_dim) output per layer of `schedule`, shallow to
-        deep; nodes maps this encoder's parameter names to graph nodes.
+        deep; nodes maps parameter names (the keys of `params`) to graph nodes.
 
         `blocks`, when given, holds the outputs of the first len(blocks)
         blocks already (say, a frozen prefix's values entered as constants):
@@ -97,7 +99,7 @@ class VisionEncoder:
         outputs = [] if blocks is None else blocks
         x = outputs[-1] if outputs else patches
         for i in range(len(outputs), cfg.layers):
-            x = block(g, x, nodes, f"block{i}.", 1, full_mask)
+            x = block(g, x, nodes, f"{self.prefix}.block{i}.", 1, full_mask)
             outputs.append(x)
         return [outputs[i] for i in self.schedule]
 

@@ -336,6 +336,26 @@ def test_config_flag_other_than_0_or_1_rejected(tmp_path, section):
     assert not (tmp_path / "x.ckpt").exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "llm_layers = 2\n",
+        "[model]\nllm_layers = 2\nllm_layers = 3\n",
+        "[model]\nllm_layers = 2\n\n[model]\nh_llm = 8\n",
+        "[model]\nllm_layers = 2\nh_llm\n",
+    ],
+    ids=["no_section_header", "duplicate_key", "duplicate_section", "line_without_equals"],
+)
+def test_malformed_config_file_is_a_usage_error(tmp_path, text):
+    cfg = tmp_path / "malformed.cfg"
+    cfg.write_text(text)
+    out = run_cli("train-smoke", "--config", str(cfg), "--steps", "0", "--out", str(tmp_path / "x.ckpt"))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 EVERY_KEY_CONFIG = """\
 [run]
 seed = 5

@@ -273,6 +273,16 @@ def test_groups_partition_all_parameters():
         assert groups[g], f"group {g} unexpectedly empty"
 
 
+@pytest.mark.parametrize(
+    "layers, want", [(4, (4, 2, 2, 3)), (5, (5, 2, 2, 3)), (8, (8, 4, 4, 6)), (12, (12, 6, 6, 9))]
+)
+def test_frozen_vision_blocks_per_stage_are_pinned(layers, want):
+    encoder = EncoderConfig(layers=layers, patch_count=3, feature_dim=4, tap_window=2, num_taps=2)
+    model = FusedModel(tiny_config(encoder=encoder), seed=0)
+    stages = ("pretrain_phase1", "pretrain_phase2", "continual", "sft")
+    assert tuple(model.frozen_vision_blocks(freeze_stage(stage)) for stage in stages) == want
+
+
 @pytest.mark.parametrize("stage", ["pretrain_phase1", "pretrain_phase2", "continual", "sft"])
 def test_one_step_freezing_correctness(stage):
     model = freeze_test_model()
@@ -472,6 +482,21 @@ def test_a_step_after_an_in_place_edit_equals_the_step_on_a_fresh_model(monkeypa
     assert param_digest(model) == param_digest(fresh)
 
 
+@pytest.mark.parametrize("case", ["moe-sft-image", "dense-phase2-video"])
+def test_a_forward_only_call_between_steps_leaves_the_next_step_unchanged(case):
+    # the forward-only calls encode with no frozen prefix, through the same cache as the steps
+    model, batch, trainable = prefix_case(case)
+    model.sgd_step(batch, lr=0.5, trainable_groups=trainable)
+    model.loss(*batch[0])
+    model.losses([seq for seq, _ in batch[1:]], batch[1][1])
+    fresh = FusedModel(model.cfg, seed=0)
+    for name, t in fresh.params.items():
+        t.data[:] = model.params[name].data
+    loss = model.sgd_step(batch, lr=0.5, trainable_groups=trainable)
+    assert repr(loss) == repr(fresh.sgd_step(batch, lr=0.5, trainable_groups=trainable))
+    assert param_digest(model) == param_digest(fresh)
+
+
 # -- smoke training and probe ----------------------------------------------------------
 
 
@@ -502,6 +527,20 @@ def test_train_smoke_zero_lr_flat():
 def test_train_smoke_reduces_loss():
     result = train_smoke(quick_smoke_cfg(), steps=25, seed=1, lr=0.5, classes=2, per_class=1)
     assert result.losses[-1] < result.losses[0]
+
+
+@pytest.mark.parametrize("stage", ["pretrain_phase1", "pretrain_phase2", "continual", "sft"])
+def test_train_smoke_precomputes_taps_only_when_the_whole_encoder_is_frozen(monkeypatch, stage):
+    calls = []
+    encode = FusedModel.encode_images_tensors
+
+    def counted(self, images):
+        calls.append(len(images))
+        return encode(self, images)
+
+    monkeypatch.setattr(FusedModel, "encode_images_tensors", counted)
+    train_smoke(quick_smoke_cfg(), steps=1, seed=0, stage=stage, classes=2, per_class=1)
+    assert calls == ([1, 1] if stage == "pretrain_phase1" else [])
 
 
 def test_precomputed_taps_path_matches_full_graph_path():
