@@ -255,4 +255,4 @@ class GatedXAttn:
 def build_padded_kv(g: Graph, taps: Sequence[Node], pad_len: int, d_img: int) -> Node:
     """Stack one tap per image and append pad_len all-zero key/value rows."""
     pad = g.constant(Tensor.zeros(pad_len, d_img))
-    return g.concat_rows([*taps, pad])
+    return g.rows([*taps, pad])

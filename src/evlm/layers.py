@@ -41,10 +41,10 @@ def attention(
     heads_out = []
     for head in range(heads):
         lo, hi = head * hd, (head + 1) * hd
-        qh, kh, vh = (q, k, v) if heads == 1 else (g.col_select(m, range(lo, hi)) for m in (q, k, v))
+        qh, kh, vh = (q, k, v) if heads == 1 else (g.cols([m], range(lo, hi)) for m in (q, k, v))
         probs = g.softmax_masked(g.scale(g.matmul(qh, g.transpose(kh)), hd**-0.5), mask)
         heads_out.append(g.matmul(probs, vh))
-    merged = heads_out[0] if heads == 1 else g.concat_cols(heads_out)
+    merged = heads_out[0] if heads == 1 else g.cols(heads_out)
     return g.matmul(merged, wo)
 
 

@@ -282,16 +282,12 @@ class FusedModel:
 
     def _embed_stream(self, g: Graph, seq: InterleavedSequence, nodes: Mapping[str, Node]) -> Node:
         """Token and media-slot embeddings in one gather from the stacked
-        table (text token t is row t, media slot s is row vocab + s), plus
-        positions."""
+        tables [llm.tok_emb; media.table] (text token t is row t, media slot
+        s is row vocab + s), plus positions."""
         self._check_stream(seq)
-        tok, media = nodes["llm.tok_emb"], nodes["media.table"]
-        # one stack per graph: its gradient still adds the samples' row deltas
-        # in reverse sample order, as one stack per sample did
-        table = g.memo(("embed_table", tok.idx, media.idx), lambda: g.concat_rows([tok, media]))
         rows = [e.token if isinstance(e, Text) else self.cfg.vocab + e.slot for e in seq.elements]
-        pos = g.row_select(nodes["llm.pos_emb"], list(range(len(seq))))
-        return g.add(g.row_select(table, rows), pos)
+        pos = g.rows([nodes["llm.pos_emb"]], range(len(seq)))
+        return g.add(g.rows([nodes["llm.tok_emb"], nodes["media.table"]], rows), pos)
 
     def forward_nodes(
         self,
@@ -614,9 +610,9 @@ def save_checkpoint(model: FusedModel, path: str) -> None:
 def load_checkpoint(path: str) -> FusedModel:
     """Rebuild a model from a save_checkpoint manifest. Every parameter comes
     from the file, so no random init is drawn. A malformed file (missing or
-    unknown config keys or parameters, a data line whose value count does not
-    match the shape, non-finite values, no final `end` line) raises
-    ConfigError."""
+    unknown config keys or parameters, a repeated config or meta key, a data
+    line whose value count does not match the shape, non-finite values, no
+    final `end` line) raises ConfigError."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
@@ -627,7 +623,10 @@ def load_checkpoint(path: str) -> FusedModel:
     while i < len(lines) and lines[i].startswith(("config ", "meta ")):
         kind, _, rest = lines[i].partition(" ")
         key, _, value = rest.partition("=")
-        (kv if kind == "config" else meta)[key] = value
+        table = kv if kind == "config" else meta
+        if key in table:
+            raise ConfigError(f"checkpoint repeats {kind} key {key}")
+        table[key] = value
         i += 1
     try:
         cfg = _config_from_pairs(kv)

@@ -184,7 +184,7 @@ def moe_forward_nodes(
     if h != bank.router.shape[0]:
         raise DimensionError(f"token width {h} != router input {bank.router.shape[0]}")
     k, n_exp = cfg.top_k, cfg.num_experts
-    xs = g.row_select(x, range(n_tok))
+    xs = g.rows([x])
     logits = g.matmul_rows(xs, nodes[f"{prefix}.router"])  # (n_tok, N*M)
     ld = logits.t.data
     chosen = [top_k(ld[t * n_exp : (t + 1) * n_exp], k) for t in range(n_tok)]
@@ -196,7 +196,7 @@ def moe_forward_nodes(
     outs = [
         ffn(
             g,
-            g.row_select(xs, [t for t, _ in m]),
+            g.rows([xs], [t for t, _ in m]),
             nodes[f"{prefix}.expert{e}.w_in"],
             nodes[f"{prefix}.expert{e}.w_out"],
             per_row_grads=True,
@@ -204,16 +204,16 @@ def moe_forward_nodes(
         for e, m in enumerate(members)
         if m
     ]
-    gated = g.concat_rows(outs)
+    gated = g.rows(outs)
     flat = g.reshape(logits, (n_tok * n_exp, 1))
-    picked = g.row_select(flat, [t * n_exp + e for t, experts in enumerate(chosen) for e in experts])
+    picked = g.rows([flat], [t * n_exp + e for t, experts in enumerate(chosen) for e in experts])
     gates = g.softmax_masked(g.reshape(picked, (n_tok, k)), [[True] * k] * n_tok)
-    gate_rows = g.row_select(g.reshape(gates, (n_tok * k, 1)), [t * k + slot for t, slot in stack])
+    gate_rows = g.rows([g.reshape(gates, (n_tok * k, 1))], [t * k + slot for t, slot in stack])
     gated = g.smul(gated, gate_rows)
     row_of = {ts: r for r, ts in enumerate(stack)}
     out: Node | None = None
     for slot in range(k):
-        part = g.row_select(gated, [row_of[t, slot] for t in range(n_tok)])
+        part = g.rows([gated], [row_of[t, slot] for t in range(n_tok)])
         out = part if out is None else g.add(out, part)
     if cfg.use_world_expert:
         world = ffn(g, xs, nodes[f"{prefix}.world.w_in"], nodes[f"{prefix}.world.w_out"], per_row_grads=True)
@@ -252,7 +252,7 @@ def aux_loss_node(g: Graph, stats: RoutingStats) -> Node:
     are treated as locally constant."""
     if not stats.prob_nodes:
         raise ConfigError("stats hold no routing probabilities")
-    probs = g.concat_rows(stats.prob_nodes)  # (tokens, N*M)
+    probs = g.rows(stats.prob_nodes)  # (tokens, N*M)
     mean = g.matmul(g.constant(Tensor.full((1, stats.tokens), 1.0 / stats.tokens)), probs)
     slots = sum(stats.assignments)
     fractions = g.constant(

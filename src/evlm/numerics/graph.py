@@ -10,9 +10,10 @@ graphs; gradients live on the graph, keyed by node.
 from __future__ import annotations
 
 import math
+from itertools import accumulate, chain
 from math import isfinite
 from operator import mul as _opmul
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Sequence
 
 from ..errors import ContractViolationError, DimensionError, NonFiniteError
 from .tensor import Tensor
@@ -71,6 +72,14 @@ def _add_into(dst: list[float], src: list[float]) -> None:
         dst[i] += v
 
 
+def _checked(indices: Sequence[int] | None, count: int) -> Sequence[int]:
+    """indices, each checked to lie in [0, count); None: every index below count, in order."""
+    idx = range(count) if indices is None else list(indices)
+    if indices is not None and any(not 0 <= i < count for i in idx):
+        raise DimensionError(f"index out of range for {count} stacked rows or columns")
+    return idx
+
+
 class Node:
     """A tensor value bound to its position in a graph's tape."""
 
@@ -92,7 +101,6 @@ class Graph:
     def __init__(self) -> None:
         self._bwd: list[BackwardFn | None] = []
         self._grads: list[list[float] | None] | None = None
-        self._memo: dict[Hashable, Node] = {}
 
     # -- tape plumbing ----------------------------------------------------
 
@@ -106,13 +114,6 @@ class Graph:
 
     def constant(self, t: Tensor) -> Node:
         return self._emit(t, None)
-
-    def memo(self, key: Hashable, build: Callable[[], Node]) -> Node:
-        """The node build() returns on this graph's first call with key,
-        returned again on every later call with key."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
 
     def backward(self, root: Node) -> None:
         """Seed d(root)=1 and sweep the tape once in reverse topological order."""
@@ -196,19 +197,6 @@ class Graph:
 
         return self._out(a.t.shape, out, bwd)
 
-    def mul(self, a: Node, b: Node) -> Node:
-        """Elementwise (Hadamard) product."""
-        if a.t.shape != b.t.shape:
-            raise DimensionError(f"mul {a.t.shape} * {b.t.shape}")
-        ad, bd = a.t.data, b.t.data
-        out = [x * y for x, y in zip(ad, bd)]
-
-        def bwd(g: list[float], acc) -> None:
-            acc(a, [gv * y for gv, y in zip(g, bd)])
-            acc(b, [gv * x for gv, x in zip(g, ad)])
-
-        return self._out(a.t.shape, out, bwd)
-
     def scale(self, a: Node, c: float) -> Node:
         """Multiply by a Python float constant."""
         out = [c * x for x in a.t.data]
@@ -264,15 +252,6 @@ class Graph:
 
         return self._out(a.t.shape, out, bwd)
 
-    def sum_all(self, a: Node) -> Node:
-        out = [math.fsum(a.t.data)]
-        n = a.t.size
-
-        def bwd(g: list[float], acc) -> None:
-            acc(a, [g[0]] * n)
-
-        return self._out((1, 1), out, bwd)
-
     def transpose(self, a: Node) -> Node:
         m, n = a.t.shape
         out = transpose_data(a.t.data, m, n)
@@ -292,19 +271,27 @@ class Graph:
 
         return self._out(shape, list(a.t.data), bwd)
 
-    # -- row/column selection and concatenation ----------------------------
+    # -- row and column gathers over stacked parts --------------------------
 
-    def row_select(self, a: Node, indices: Sequence[int]) -> Node:
-        """Gather rows (doubles as embedding lookup); repeated rows accumulate
-        their gradients back into the source."""
-        m, n = a.t.shape
-        idx = list(indices)
-        if any(i < 0 or i >= m for i in idx):
-            raise DimensionError(f"row index out of range for shape {a.t.shape}")
-        ad = a.t.data
+    def rows(self, parts: Sequence[Node], indices: Sequence[int] | None = None) -> Node:
+        """Stack parts top to bottom and pick rows by their index in that
+        stack (None: every row, in order): embedding lookup, concatenation
+        and row slicing. Backward starts each part's delta at 0.0 and adds
+        the picked rows' gradients in output order, so repeated indices keep
+        their in-order sums. A part thus receives 0.0 + g where a plain
+        concatenation hands on g; that differs only for a -0.0 in g, so it is
+        bit-identical as long as the part's gradient reaches every parameter
+        only through sums that start at 0 (as matmul's do), which give -0.0
+        and 0.0 terms the same result."""
+        n = parts[0].t.cols
+        if any(p.t.cols != n for p in parts):
+            raise DimensionError(f"rows of parts with {[p.t.cols for p in parts]} columns")
+        stack = parts[0].t.data if len(parts) == 1 else list(chain.from_iterable(p.t.data for p in parts))
+        m = len(stack) // n
+        idx = _checked(indices, m)
         out: list[float] = []
         for i in idx:
-            out.extend(ad[i * n : (i + 1) * n])
+            out.extend(stack[i * n : (i + 1) * n])
 
         def bwd(g: list[float], acc) -> None:
             delta = [0.0] * (m * n)
@@ -312,66 +299,36 @@ class Graph:
                 off_src, off_dst = r * n, i * n
                 for j in range(n):
                     delta[off_dst + j] += g[off_src + j]
-            acc(a, delta)
+            for p, off in zip(parts, accumulate([0, *(p.t.size for p in parts)])):
+                acc(p, delta if len(parts) == 1 else delta[off : off + p.t.size])
 
         return self._out((len(idx), n), out, bwd)
 
-    def col_select(self, a: Node, indices: Sequence[int]) -> Node:
-        m, n = a.t.shape
-        idx = list(indices)
-        if any(j < 0 or j >= n for j in idx):
-            raise DimensionError(f"column index out of range for shape {a.t.shape}")
-        ad = a.t.data
+    def cols(self, parts: Sequence[Node], indices: Sequence[int] | None = None) -> Node:
+        """rows() for columns: the parts side by side, columns picked by
+        their index in that row (None: every column, in order), with the same
+        zero-started, in-order backward."""
+        m = parts[0].t.rows
+        if any(p.t.rows != m for p in parts):
+            raise DimensionError(f"cols of parts with {[p.t.rows for p in parts]} rows")
+        widths = [p.t.cols for p in parts]
+        n = sum(widths)
+        stack = parts[0].t.data if len(parts) == 1 else [
+            v for i in range(m) for p, c in zip(parts, widths) for v in p.t.data[i * c : (i + 1) * c]
+        ]
+        idx = _checked(indices, n)
         w = len(idx)
-        out = [ad[i * n + j] for i in range(m) for j in idx]
 
         def bwd(g: list[float], acc) -> None:
             delta = [0.0] * (m * n)
             for i in range(m):
+                off_src, off_dst = i * w, i * n
                 for c, j in enumerate(idx):
-                    delta[i * n + j] += g[i * w + c]
-            acc(a, delta)
+                    delta[off_dst + j] += g[off_src + c]
+            for p, c, off in zip(parts, widths, accumulate([0, *widths])):
+                acc(p, delta if len(parts) == 1 else [v for r in range(off, m * n, n) for v in delta[r : r + c]])
 
-        return self._out((m, w), out, bwd)
-
-    def concat_rows(self, parts: Sequence[Node]) -> Node:
-        n = parts[0].t.cols
-        if any(p.t.cols != n for p in parts):
-            raise DimensionError("concat_rows column mismatch")
-        out: list[float] = []
-        for p in parts:
-            out.extend(p.t.data)
-        sizes = [p.t.size for p in parts]
-        rows = sum(p.t.rows for p in parts)
-
-        def bwd(g: list[float], acc) -> None:
-            off = 0
-            for p, sz in zip(parts, sizes):
-                acc(p, g[off : off + sz])
-                off += sz
-
-        return self._out((rows, n), out, bwd)
-
-    def concat_cols(self, parts: Sequence[Node]) -> Node:
-        m = parts[0].t.rows
-        if any(p.t.rows != m for p in parts):
-            raise DimensionError("concat_cols row mismatch")
-        widths = [p.t.cols for p in parts]
-        total = sum(widths)
-        out: list[float] = []
-        for i in range(m):
-            for p, w in zip(parts, widths):
-                out.extend(p.t.data[i * w : (i + 1) * w])
-
-        def bwd(g: list[float], acc) -> None:
-            for pi, (p, w) in enumerate(zip(parts, widths)):
-                off = sum(widths[:pi])
-                delta: list[float] = []
-                for i in range(m):
-                    delta.extend(g[i * total + off : i * total + off + w])
-                acc(p, delta)
-
-        return self._out((m, total), out, bwd)
+        return self._out((m, w), [stack[r + j] for r in range(0, m * n, n) for j in idx], bwd)
 
     # -- normalization, attention and loss ---------------------------------
 

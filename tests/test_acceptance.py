@@ -47,6 +47,7 @@ from evlm.moe import DenseFFN, MoEConfig, moe_forward_nodes, upcycle
 from evlm.numerics import Tensor, derive_seed, grad_check
 from evlm.vision import EncoderConfig
 from test_model import decoder_only_logits
+from test_numerics import dot
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -328,7 +329,7 @@ def test_criterion_5_gradient_checks():
             pnodes = dict(zip(names, nodes[2:]))
             kv = build_padded_kv(g, [f], pad_len=1, d_img=3)
             out = layer.forward_nodes(g, h, kv, mask, pnodes)
-            return g.sum_all(g.mul(out, g.tanh(out)))
+            return dot(g, out, g.tanh(out))
 
         err_a = grad_check(build_layer, [hidden, feats] + [layer.params[n] for n in names])
         assert err_a < 1e-4, f"xattn layer grad err {err_a}"
@@ -343,7 +344,7 @@ def test_criterion_5_gradient_checks():
         def build_moe(g, nodes):
             pnodes = dict(zip(bank_names, nodes[1:]))
             out = moe_forward_nodes(g, nodes[0], bank, pnodes)
-            return g.sum_all(g.mul(out, g.tanh(out)))
+            return dot(g, out, g.tanh(out))
 
         err_b = grad_check(build_moe, [x] + [t for _, t in bank.param_items()])
         assert err_b < 1e-4, f"moe grad err {err_b}"

@@ -21,6 +21,7 @@ from evlm.fusion import (
     insert_media_tokens,
 )
 from evlm.numerics import Graph, Tensor, derive_seed, grad_check
+from test_numerics import dot
 
 
 # -- sequence construction -----------------------------------------------------
@@ -390,7 +391,7 @@ def test_layer_grad_check():
         pnodes = dict(zip(names, nodes[2:]))
         kv = build_padded_kv(g, [f], pad_len=1, d_img=3)
         out = layer.forward_nodes(g, h, kv, mask, pnodes)
-        return g.sum_all(g.mul(out, g.tanh(out)))
+        return dot(g, out, g.tanh(out))
 
     params = [hidden, feats] + [layer.params[n] for n in names]
     assert grad_check(build, params) < 1e-4

@@ -405,20 +405,21 @@ def counting_matmuls(monkeypatch):
     return calls
 
 
-def test_a_step_stacks_the_embedding_tables_once(monkeypatch):
-    # media.table trains in every stage, so the pins below cover the stack's gradient order
+def test_a_step_never_stacks_the_embedding_tables(monkeypatch):
+    # each stream gathers straight from [llm.tok_emb; media.table], one index per position
     model, batch, trainable = prefix_case("dense-continual-image")
-    stacks = []
-    concat_rows = Graph.concat_rows
+    gathers = []
+    rows = Graph.rows
 
-    def counted(self, parts):
-        if parts[0].t is model.params["llm.tok_emb"]:
-            stacks.append(parts)
-        return concat_rows(self, parts)
+    def counted(self, parts, indices=None):
+        if any(p.t is model.params["llm.tok_emb"] for p in parts):
+            gathers.append(indices)
+        return rows(self, parts, indices)
 
-    monkeypatch.setattr(Graph, "concat_rows", counted)
+    monkeypatch.setattr(Graph, "rows", counted)
     model.sgd_step(batch, lr=0.5, trainable_groups=trainable)
-    assert len(batch) == 2 and len(stacks) == 1
+    assert len(batch) == 2 and len(gathers) == 2
+    assert [len(indices) for indices in gathers] == [len(seq) for seq, _ in batch]
 
 
 @pytest.mark.parametrize("case", list(_PREFIX_CASES))
@@ -789,8 +790,19 @@ def _edit_head_data(edit):
         lambda lines: [line for line in lines if not line.startswith("config h_llm=")],
         lambda lines: [line.replace("config heads=2", "config heads=0") for line in lines],
         lambda lines: [line.replace("config moe.enabled=0", "config moe.enabled=true") for line in lines],
+        lambda lines: [line.replace("mask_mode=image", "mask_mode=image\nconfig mask_mode=video") for line in lines],
+        lambda lines: [lines[0], "meta seed=1", "meta seed=2", *lines[1:]],
     ],
-    ids=["short_data", "nan", "no_end", "missing_config_key", "zero_heads", "flag_not_0_or_1"],
+    ids=[
+        "short_data",
+        "nan",
+        "no_end",
+        "missing_config_key",
+        "zero_heads",
+        "flag_not_0_or_1",
+        "repeated_config_key",
+        "repeated_meta_key",
+    ],
 )
 def test_checkpoint_rejects_malformed(tmp_path, corrupt):
     path = tmp_path / "model.ckpt"

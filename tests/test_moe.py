@@ -20,6 +20,7 @@ from evlm.moe import (
     upcycle,
 )
 from evlm.numerics import Graph, Tensor, derive_seed, grad_check
+from test_numerics import dot
 
 
 def make_dense(h=6, hidden=8, seed=0):
@@ -222,7 +223,7 @@ def test_grad_check_through_router_and_experts():
         xin = nodes[0]
         pnodes = dict(zip(names, nodes[1:]))
         out = moe_forward_nodes(g, xin, bank, pnodes)
-        return g.sum_all(g.mul(out, g.tanh(out)))
+        return dot(g, out, g.tanh(out))
 
     params = [x] + [t for _, t in bank.param_items()]
     assert grad_check(build, params) < 1e-4
@@ -232,20 +233,20 @@ def test_grad_check_through_router_and_experts():
 
 
 def per_token_moe_forward_nodes(g, x, bank, nodes, prefix="moe", stats=None):
-    """One token at a time: a row_select, a router matmul and k+1 one-row FFNs
+    """One token at a time: a one-row gather, a router matmul and k+1 one-row FFNs
     per token. The reference that grouped dispatch must match bit for bit."""
     cfg = bank.cfg
     all_true_k = [[True] * cfg.top_k]
     out_rows = []
     for i in range(x.t.shape[0]):
-        row = g.row_select(x, [i])
+        row = g.rows([x], [i])
         logits = g.matmul(row, nodes[f"{prefix}.router"])
         chosen = top_k(logits.t.data, cfg.top_k)
-        gates = g.softmax_masked(g.col_select(logits, chosen), all_true_k)
+        gates = g.softmax_masked(g.cols([logits], chosen), all_true_k)
         acc = None
         for slot, ei in enumerate(chosen):
             out = ffn(g, row, nodes[f"{prefix}.expert{ei}.w_in"], nodes[f"{prefix}.expert{ei}.w_out"])
-            gated = g.smul(out, g.col_select(gates, [slot]))
+            gated = g.smul(out, g.cols([gates], [slot]))
             acc = gated if acc is None else g.add(acc, gated)
         if cfg.use_world_expert:
             world = ffn(g, row, nodes[f"{prefix}.world.w_in"], nodes[f"{prefix}.world.w_out"])
@@ -259,7 +260,7 @@ def per_token_moe_forward_nodes(g, x, bank, nodes, prefix="moe", stats=None):
             for ei in range(cfg.num_experts):
                 stats.prob_sums[ei] += full.t.data[ei]
             stats.prob_nodes.append(full)
-    return g.concat_rows(out_rows)
+    return g.rows(out_rows)
 
 
 def bits(values):
@@ -290,7 +291,7 @@ def moe_run(forward, bank, inputs):
         out = g.add(x, forward(g, x, bank, nodes, stats=stats))
         outs.append(out.t.data)
         w = g.constant(Tensor.randn(out.t.shape, derive_seed(i, "weights")))
-        term = g.sum_all(g.mul(out, w))
+        term = dot(g, out, w)
         loss = term if loss is None else g.add(loss, term)
     aux = aux_loss_node(g, stats)
     g.backward(g.add(loss, g.scale(aux, 0.1)))
@@ -368,7 +369,7 @@ def test_aux_loss_node_gradient_reaches_router():
         pnodes = dict(zip(names, nodes))
         stats = RoutingStats(4, prob_nodes=[])
         out = moe_forward_nodes(g, g.constant(x), bank, pnodes, stats=stats)
-        main = g.sum_all(g.mul(out, g.tanh(out)))
+        main = dot(g, out, g.tanh(out))
         return g.add(main, g.scale(aux_loss_node(g, stats), 0.1))
 
     assert grad_check(build, [t for _, t in bank.param_items()]) < 1e-4
@@ -447,7 +448,7 @@ def test_grad_check_fused_block_with_moe_two_tokens():
             g, h, kv, mask, lnodes,
             ffn_branch=lambda h1: moe_forward_nodes(g, h1, bank, bnodes),
         )
-        return g.sum_all(g.mul(out, g.tanh(out)))
+        return dot(g, out, g.tanh(out))
 
     params = (
         [hidden, feats]

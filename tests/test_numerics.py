@@ -2,17 +2,26 @@
 
 import math
 import random
+import re
 import struct
 from operator import mul
+from pathlib import Path
 
 import pytest
 
+import evlm
 from evlm.errors import ContractViolationError, DimensionError, NonFiniteError
 from evlm.numerics import Graph, Tensor, derive_seed, grad_check
 from evlm.numerics.graph import mm_abt_data, mm_data
 
 
 # -- oracles ----------------------------------------------------------------
+
+
+def dot(g, a, b):
+    """Sum of a * b over every entry as a (1,1) node: a flattened to one row
+    times b flattened to one column."""
+    return g.matmul(g.reshape(a, (1, a.t.size)), g.reshape(b, (b.t.size, 1)))
 
 
 def matmul_oracle(a, b):
@@ -146,8 +155,8 @@ def test_matmul_rows_matches_one_matmul_per_row_bit_for_bit():
         if grouped:
             out = g.matmul_rows(na, nw)
         else:
-            out = g.concat_rows([g.matmul(g.row_select(na, [i]), nw) for i in range(5)])
-        g.backward(g.add(g.sum_all(g.mul(out, g.constant(up))), g.sum_all(g.mul(pre, pre))))
+            out = g.rows([g.matmul(g.rows([na], [i]), nw) for i in range(5)])
+        g.backward(g.add(dot(g, out, g.constant(up)), dot(g, pre, pre)))
         return out.t.data, g.grad(na).data, g.grad(nw).data
 
     assert grads(True) == grads(False)
@@ -296,9 +305,9 @@ def test_row_select_repeats_and_col_select():
     x = Tensor((2, 3), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     g = Graph()
     n = g.param(x)
-    rows = g.row_select(n, [1, 0, 1]).t
+    rows = g.rows([n], [1, 0, 1]).t
     assert (rows.shape, rows.data) == ((3, 3), [4, 5, 6, 1, 2, 3, 4, 5, 6])
-    cols = g.col_select(n, [2, 0]).t
+    cols = g.cols([n], [2, 0]).t
     assert (cols.shape, cols.data) == ((2, 2), [3, 1, 6, 4])
 
 
@@ -306,12 +315,67 @@ def test_concat_rows_and_cols():
     g = Graph()
     a = g.param(Tensor((1, 2), [1.0, 2.0]))
     b = g.param(Tensor((2, 2), [3.0, 4.0, 5.0, 6.0]))
-    rows = g.concat_rows([a, b]).t
+    rows = g.rows([a, b]).t
     assert (rows.shape, rows.data) == ((3, 2), [1, 2, 3, 4, 5, 6])
     c = g.param(Tensor((2, 1), [7.0, 8.0]))
     d = g.param(Tensor((2, 2), [9.0, 10.0, 11.0, 12.0]))
-    cols = g.concat_cols([c, d]).t
+    cols = g.cols([c, d]).t
     assert (cols.shape, cols.data) == ((2, 3), [7, 9, 10, 8, 11, 12])
+
+
+def test_rows_and_cols_pick_across_parts_and_sum_repeats_in_order():
+    # (0.1 + 0.2) + 0.3 == 0.6000000000000001 but 0.3 + (0.2 + 0.1) == 0.6:
+    # a repeated pick's gradient is summed in output order, from 0.0
+    g = Graph()
+    a = g.param(Tensor((1, 2), [1.0, 2.0]))
+    b = g.param(Tensor((2, 2), [3.0, 4.0, 5.0, 6.0]))
+    rows = g.rows([a, b], [2, 0, 2, 2])
+    assert (rows.t.shape, rows.t.data) == ((4, 2), [5, 6, 1, 2, 5, 6, 5, 6])
+    g.backward(dot(g, rows, g.constant(Tensor((4, 2), [0.1, 1.0, 0.3, 0.4, 0.2, 2.0, 0.3, 3.0]))))
+    assert g.grad(a).data == [0.3, 0.4]
+    assert g.grad(b).data == [0.0, 0.0, 0.6000000000000001, 6.0]
+    g = Graph()
+    c = g.param(Tensor((2, 1), [7.0, 8.0]))
+    d = g.param(Tensor((2, 2), [9.0, 10.0, 11.0, 12.0]))
+    cols = g.cols([c, d], [2, 0, 2, 2])
+    assert (cols.t.shape, cols.t.data) == ((2, 4), [10, 7, 10, 10, 12, 8, 12, 12])
+    g.backward(dot(g, cols, g.constant(Tensor((2, 4), [0.1, 0.5, 0.2, 0.3, 0.3, 0.25, 0.2, 0.1]))))
+    assert g.grad(c).data == [0.5, 0.25]
+    assert g.grad(d).data == [0.0, 0.6000000000000001, 0.0, 0.6]
+
+
+@pytest.mark.parametrize(
+    "op, shapes, indices",
+    [
+        ("rows", [(1, 2), (2, 2)], [3]),
+        ("rows", [(1, 2), (2, 2)], [0, -1]),
+        ("rows", [(1, 2), (2, 3)], None),
+        ("cols", [(2, 1), (2, 2)], [3]),
+        ("cols", [(2, 1), (2, 2)], [-1]),
+        ("cols", [(2, 1), (3, 1)], None),
+    ],
+    ids=[
+        "rows_past_end",
+        "rows_negative",
+        "rows_column_mismatch",
+        "cols_past_end",
+        "cols_negative",
+        "cols_row_mismatch",
+    ],
+)
+def test_rows_and_cols_reject_bad_indices_and_mismatched_parts(op, shapes, indices):
+    g = Graph()
+    parts = [g.param(Tensor.zeros(*shape)) for shape in shapes]
+    with pytest.raises(DimensionError):
+        getattr(g, op)(parts, indices)
+
+
+def test_every_public_graph_method_is_used_in_src():
+    # an op only tests call belongs in the tests, not on Graph
+    src = Path(evlm.__file__).parent
+    text = "\n".join(path.read_text() for path in sorted(src.rglob("*.py")))
+    public = [name for name in vars(Graph) if not name.startswith("_")]
+    assert [name for name in public if not re.search(rf"\.{name}\b", text)] == []
 
 
 # -- gradients -----------------------------------------------------------------
@@ -321,12 +385,12 @@ def test_grad_check_quadratic():
     x = Tensor((1, 2), [1.0, 2.0])
 
     def loss(g, nodes):
-        return g.sum_all(g.mul(nodes[0], nodes[0]))
+        return dot(g, nodes[0], nodes[0])
 
     assert grad_check(loss, [x]) < 1e-7
     g = Graph()
     n = g.param(x)
-    g.backward(g.sum_all(g.mul(n, n)))
+    g.backward(dot(g, n, n))
     grad = g.grad(n)
     assert grad.shape == (1, 2)
     assert all(abs(a - b) <= 1e-12 for a, b in zip(grad.data, [2.0, 4.0]))
@@ -338,7 +402,6 @@ def test_grad_check_quadratic():
         "matmul",
         "matmul_rows",
         "add",
-        "mul",
         "scale",
         "smul",
         "smul_column",
@@ -351,6 +414,8 @@ def test_grad_check_quadratic():
         "reshape",
         "row_select",
         "col_select",
+        "rows",
+        "cols",
         "concat",
     ],
 )
@@ -372,14 +437,12 @@ def test_grad_check_each_op(opname):
             out = g.matmul_rows(na, nb)
         elif opname == "add":
             out = g.add(na, nw)
-        elif opname == "mul":
-            out = g.mul(na, nw)
         elif opname == "scale":
             out = g.scale(na, -1.7)
         elif opname == "smul":
             out = g.smul(na, ns)
         elif opname == "smul_column":
-            out = g.smul(na, g.col_select(nw, [0]))
+            out = g.smul(na, g.cols([nw], [0]))
         elif opname == "tanh":
             out = g.tanh(na)
         elif opname == "gelu":
@@ -395,13 +458,17 @@ def test_grad_check_each_op(opname):
         elif opname == "reshape":
             out = g.reshape(na, (4, 3))
         elif opname == "row_select":
-            out = g.row_select(na, [2, 0, 2])
+            out = g.rows([na], [2, 0, 2])
         elif opname == "col_select":
-            out = g.col_select(na, [3, 1, 3])
+            out = g.cols([na], [3, 1, 3])
+        elif opname == "rows":
+            out = g.rows([na, nw, na], [5, 0, 5, 2, 8])
+        elif opname == "cols":
+            out = g.cols([na, nw, na], [7, 1, 7, 3, 10])
         else:
-            out = g.concat_cols([g.concat_rows([na, nw]), g.concat_rows([nw, na])])
+            out = g.cols([g.rows([na, nw]), g.rows([nw, na])])
         # squash through a nonlinearity so the sum has nontrivial curvature
-        return g.sum_all(g.mul(out, g.tanh(out)))
+        return dot(g, out, g.tanh(out))
 
     assert grad_check(build, [a, b, w, s, gain, bias]) < 1e-4
 
@@ -411,7 +478,7 @@ def test_backward_accumulates_shared_parents():
     x = Tensor((1, 1), [3.0])
     g = Graph()
     n = g.param(x)
-    g.backward(g.sum_all(g.add(g.mul(n, n), n)))
+    g.backward(g.add(g.matmul(n, n), n))
     assert abs(g.grad(n).item() - 7.0) < 1e-12
 
 
@@ -425,7 +492,7 @@ def test_grad_check_one_layer_model_cross_entropy():
 
     def loss(g, nodes):
         emb, a, b = nodes
-        h = g.gelu(g.matmul(g.row_select(emb, ids), a))
+        h = g.gelu(g.matmul(g.rows([emb], ids), a))
         return g.cross_entropy(g.matmul(h, b), targets, [True] * 4)
 
     assert grad_check(loss, [table, w1, w2]) < 1e-4
@@ -440,7 +507,7 @@ def test_non_finite_rejected():
     g = Graph()
     big = g.param(Tensor.full((1, 1), 1e308))
     with pytest.raises(NonFiniteError):
-        g.mul(big, big)
+        g.matmul(big, big)
 
 
 def test_shape_data_mismatch_rejected():
@@ -464,7 +531,7 @@ def test_pipeline_determinism_bit_identical():
         nw = g.param(w)
         out = g.gelu(g.matmul(g.param(t), nw))
         out = g.softmax_masked(out, [[True] * 4 for _ in range(3)])
-        g.backward(g.sum_all(g.mul(out, out)))
+        g.backward(dot(g, out, out))
         return out.t.data, g.grad(nw).data
 
     first = pipeline()
