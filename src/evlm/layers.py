@@ -33,19 +33,24 @@ def attention(
     g: Graph, xq: Node, xkv: Node, wq: Node, wk: Node, wv: Node, wo: Node, heads: int, mask: list[list[bool]]
 ) -> Node:
     """Masked softmax attention of xq's rows over xkv's rows, then the output
-    projection wo. With heads > 1, q, k and v are split into equal column
-    slices, each head attends on its own, and the head outputs are
-    concatenated before wo."""
+    projection wo. With heads > 1, q, k and v are each read as heads times as
+    many rows of width d / heads, so head h of row i is row i * heads + h; each
+    head attends over its own rows, and the head outputs are gathered back into
+    that layout and read as full-width rows before wo."""
     q, k, v = g.matmul(xq, wq), g.matmul(xkv, wk), g.matmul(xkv, wv)
     hd = q.t.cols // heads
+    if heads > 1:
+        q, k, v = (g.reshape(m, (m.t.rows * heads, hd)) for m in (q, k, v))
     heads_out = []
     for head in range(heads):
-        lo, hi = head * hd, (head + 1) * hd
-        qh, kh, vh = (q, k, v) if heads == 1 else (g.cols([m], range(lo, hi)) for m in (q, k, v))
+        qh, kh, vh = (q, k, v) if heads == 1 else (g.rows([m], range(head, m.t.rows, heads)) for m in (q, k, v))
         probs = g.softmax_masked(g.scale(g.matmul(qh, g.transpose(kh)), hd**-0.5), mask)
         heads_out.append(g.matmul(probs, vh))
-    merged = heads_out[0] if heads == 1 else g.cols(heads_out)
-    return g.matmul(merged, wo)
+    if heads == 1:
+        return g.matmul(heads_out[0], wo)
+    n = xq.t.rows
+    merged = g.rows(heads_out, [h * n + i for i in range(n) for h in range(heads)])
+    return g.matmul(g.reshape(merged, (n, heads * hd)), wo)
 
 
 def block(

@@ -158,7 +158,7 @@ class FusedModel:
         init = init or seeded_init(seed)
         self.cfg = cfg
         h, v = cfg.h_llm, cfg.vocab
-        self.vision = VisionEncoder(cfg.encoder, seed, prefix="vision", init=init)
+        self.vision = VisionEncoder(cfg.encoder, seed, init=init)
         self.tap_assignment = assign_taps_to_xattn(cfg.encoder.num_taps, cfg.llm_layers)
 
         params: dict[str, Tensor] = {}
@@ -468,13 +468,11 @@ def caption_tokens(class_id: int) -> list[int]:
     return [TOK_BOS, TOK_SHOWS, TOK_CLASS_BASE + class_id]
 
 
-def synthetic_patches(
-    enc: EncoderConfig, class_id: int, sample: int, seed: int, noise: float = 0.25
-) -> Tensor:
-    """Class-specific base pattern plus per-sample Gaussian jitter."""
+def synthetic_patches(enc: EncoderConfig, class_id: int, sample: int, seed: int) -> Tensor:
+    """Class-specific base pattern plus per-sample Gaussian jitter (std 0.25)."""
     shape = (enc.patch_count, enc.feature_dim)
     base = Tensor.randn(shape, derive_seed(seed, f"smoke.class{class_id}"))
-    jitter = Tensor.randn(shape, derive_seed(seed, f"smoke.sample{class_id}.{sample}"), noise)
+    jitter = Tensor.randn(shape, derive_seed(seed, f"smoke.sample{class_id}.{sample}"), 0.25)
     return Tensor(shape, [a + b for a, b in zip(base.data, jitter.data)], check=False)
 
 

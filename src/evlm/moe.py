@@ -42,13 +42,13 @@ class DenseFFN:
     w_out: Tensor  # (H, h)
 
     @classmethod
-    def init(cls, h: int, hidden: int, seed: int, prefix: str = "ffn") -> "DenseFFN":
+    def init(cls, h: int, hidden: int, seed: int) -> "DenseFFN":
         if h < 1 or hidden < 1:
             raise ConfigError(f"width and hidden size must be >= 1, got {h} and {hidden}")
         init = seeded_init(seed)
         return cls(
-            init((h, hidden), f"{prefix}.w_in", h**-0.5),
-            init((hidden, h), f"{prefix}.w_out", hidden**-0.5),
+            init((h, hidden), "ffn.w_in", h**-0.5),
+            init((hidden, h), "ffn.w_out", hidden**-0.5),
         )
 
     def apply(self, x: Tensor) -> Tensor:

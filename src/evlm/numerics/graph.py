@@ -72,14 +72,6 @@ def _add_into(dst: list[float], src: list[float]) -> None:
         dst[i] += v
 
 
-def _checked(indices: Sequence[int] | None, count: int) -> Sequence[int]:
-    """indices, each checked to lie in [0, count); None: every index below count, in order."""
-    idx = range(count) if indices is None else list(indices)
-    if indices is not None and any(not 0 <= i < count for i in idx):
-        raise DimensionError(f"index out of range for {count} stacked rows or columns")
-    return idx
-
-
 class Node:
     """A tensor value bound to its position in a graph's tape."""
 
@@ -271,7 +263,7 @@ class Graph:
 
         return self._out(shape, list(a.t.data), bwd)
 
-    # -- row and column gathers over stacked parts --------------------------
+    # -- row gather over stacked parts --------------------------------------
 
     def rows(self, parts: Sequence[Node], indices: Sequence[int] | None = None) -> Node:
         """Stack parts top to bottom and pick rows by their index in that
@@ -288,7 +280,9 @@ class Graph:
             raise DimensionError(f"rows of parts with {[p.t.cols for p in parts]} columns")
         stack = parts[0].t.data if len(parts) == 1 else list(chain.from_iterable(p.t.data for p in parts))
         m = len(stack) // n
-        idx = _checked(indices, m)
+        idx = range(m) if indices is None else list(indices)
+        if indices is not None and any(not 0 <= i < m for i in idx):
+            raise DimensionError(f"index out of range for {m} stacked rows")
         out: list[float] = []
         for i in idx:
             out.extend(stack[i * n : (i + 1) * n])
@@ -304,36 +298,10 @@ class Graph:
 
         return self._out((len(idx), n), out, bwd)
 
-    def cols(self, parts: Sequence[Node], indices: Sequence[int] | None = None) -> Node:
-        """rows() for columns: the parts side by side, columns picked by
-        their index in that row (None: every column, in order), with the same
-        zero-started, in-order backward."""
-        m = parts[0].t.rows
-        if any(p.t.rows != m for p in parts):
-            raise DimensionError(f"cols of parts with {[p.t.rows for p in parts]} rows")
-        widths = [p.t.cols for p in parts]
-        n = sum(widths)
-        stack = parts[0].t.data if len(parts) == 1 else [
-            v for i in range(m) for p, c in zip(parts, widths) for v in p.t.data[i * c : (i + 1) * c]
-        ]
-        idx = _checked(indices, n)
-        w = len(idx)
-
-        def bwd(g: list[float], acc) -> None:
-            delta = [0.0] * (m * n)
-            for i in range(m):
-                off_src, off_dst = i * w, i * n
-                for c, j in enumerate(idx):
-                    delta[off_dst + j] += g[off_src + c]
-            for p, c, off in zip(parts, widths, accumulate([0, *widths])):
-                acc(p, delta if len(parts) == 1 else [v for r in range(off, m * n, n) for v in delta[r : r + c]])
-
-        return self._out((m, w), [stack[r + j] for r in range(0, m * n, n) for j in idx], bwd)
-
     # -- normalization, attention and loss ---------------------------------
 
-    def layer_norm(self, x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
-        """Per-row normalization with learnable (1,d) gain and bias."""
+    def layer_norm(self, x: Node, gain: Node, bias: Node) -> Node:
+        """Per-row normalization (eps 1e-5) with learnable (1,d) gain and bias."""
         m, d = x.t.shape
         if gain.t.shape != (1, d) or bias.t.shape != (1, d):
             raise DimensionError(f"layer_norm params must be (1,{d})")
@@ -345,7 +313,7 @@ class Graph:
             row = xd[i * d : (i + 1) * d]
             mu = sum(row) / d
             var = sum((v - mu) ** 2 for v in row) / d
-            inv = 1.0 / math.sqrt(var + eps)
+            inv = 1.0 / math.sqrt(var + 1e-5)
             inv_sigmas.append(inv)
             hrow = [(v - mu) * inv for v in row]
             xhat.extend(hrow)

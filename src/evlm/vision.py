@@ -61,21 +61,20 @@ class VisionEncoder:
     """Stack of pre-norm transformer blocks (single-head attention, gelu FFN),
     parameterized by plain tensors so callers control gradient flow."""
 
-    def __init__(self, cfg: EncoderConfig, seed: int, prefix: str = "vision", init: Init | None = None):
+    def __init__(self, cfg: EncoderConfig, seed: int, init: Init | None = None):
         init = init or seeded_init(seed)
         self.cfg = cfg
         d = cfg.feature_dim
-        self.prefix = prefix
         self.params = {
-            f"{prefix}.block{i}.{name}": t
+            f"vision.block{i}.{name}": t
             for i in range(cfg.layers)
-            for name, t in block_params(init, f"{prefix}.block{i}.", d, FFN_MULT * d).items()
+            for name, t in block_params(init, f"vision.block{i}.", d, FFN_MULT * d).items()
         }
         self.schedule = tap_schedule(cfg.layers, cfg.tap_window, cfg.num_taps)
 
     @staticmethod
     def block_index(name: str) -> int:
-        """i of a parameter name `<prefix>.block<i>.<local name>`."""
+        """i of a parameter name `vision.block<i>.<local name>`."""
         return int(name.split(".block", 1)[1].split(".", 1)[0])
 
     def encode_nodes(
@@ -99,7 +98,7 @@ class VisionEncoder:
         outputs = [] if blocks is None else blocks
         x = outputs[-1] if outputs else patches
         for i in range(len(outputs), cfg.layers):
-            x = block(g, x, nodes, f"{self.prefix}.block{i}.", 1, full_mask)
+            x = block(g, x, nodes, f"vision.block{i}.", 1, full_mask)
             outputs.append(x)
         return [outputs[i] for i in self.schedule]
 

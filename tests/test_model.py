@@ -640,14 +640,34 @@ _GRADIENT_SHA256 = {
     "image-moe": "f139d3e9bd521666a95bf04dd46adc6177a04f52b32371a668ea84dd87b0afdb",
     "video-dense": "888fb24657593f4a36bc05b438626d45c6506cebf0abe9aebd4a9024854553bb",
     "video-moe": "e86f50b2d6e67bb030e21854d06b1fcbcdcdbcc698506d2a656049f71faa18c4",
+    "image-dense-heads1": "16796b0e1c3de49347a4091e45901755eea3ebe82c06334a2fed7477be546970",
+    "image-moe-heads1": "e3bce368be625a1fb57051f2baee04be3de3c605e36415d7a920f9fc0faa121b",
+    "video-dense-heads1": "1dc72b8e68dae5088f03a7724f012eb5d5e1a943b4c371de4c41da0eecbcbdd5",
+    "video-moe-heads1": "faa0d3bcfcf03c132d9cc26e9513f79c4ac8378db153430b207a107284b56db5",
+    "image-dense-heads4": "2934a83ada1351720e21d1f141900f2fcc2e4a6a5100e18d45aeab6a57b91ff8",
+    "image-moe-heads4": "217437066d836f2e0af4b1627f6e844ca5c6a09b41665230b6d63e747044efff",
+    "video-dense-heads4": "8e4b1885d9499ad41de2b9bc267120736926f5aaab36983c55f20152a933eb6b",
+    "video-moe-heads4": "3e733f4aa68ec6fa47b7ee1a8aec6aa69ffc55cc8acd9181d0d7c7d9bb53db7f",
+    "image-dense-heads8": "0632889060e41b2ba5ae68bccceb96d4f1d35d671d0914a1f80f2dc1173b9331",
+    "image-moe-heads8": "0b512e390c92c7b2fdb61bfbe54dd20a3835789d89d47e079b867a63bc20b27e",
+    "video-dense-heads8": "753c23823470e2105295a40b7caf030c9cf94a7096c5a9159fee3fd37ca1d033",
+    "video-moe-heads8": "abe04a4c47f009078c8a206774e82c30e4dc22722299d39d57a3c419e2319777",
 }
 
 
-@pytest.mark.parametrize("mode", ["image", "video"])
+@pytest.mark.parametrize(
+    "mode, heads",
+    [
+        pytest.param(mode, heads, id=mode + ("" if heads == 2 else f"-heads{heads}"))
+        for heads in (2, 1, 4, 8)
+        for mode in ("image", "video")
+    ],
+)
 @pytest.mark.parametrize("moe", [None, MoEConfig(n_replicas=2, segments=2, top_k=2)], ids=["dense", "moe"])
-def test_parameter_gradients_are_pinned(mode, moe):
-    # every parameter's gradient, llm.tok_emb included, which no stage trains
-    model = FusedModel(tiny_config(mask_mode=mode, moe=moe), seed=21)
+def test_parameter_gradients_are_pinned(mode, moe, heads):
+    # every parameter's gradient, llm.tok_emb included, which no stage trains;
+    # heads=8 makes the decoder's heads 1 wide (h_llm=8), so q·kᵀ takes mm_data's k == 1 path
+    model = FusedModel(tiny_config(mask_mode=mode, moe=moe, heads=heads), seed=21)
     for name, t in model.params.items():
         if name.endswith(("alpha_attn", "alpha_ffn")):
             t.data[0] = 0.3
@@ -660,7 +680,7 @@ def test_parameter_gradients_are_pinned(mode, moe):
     logits = model.forward_nodes(g, seq, model.encode_images(g, images, nodes), nodes)
     g.backward(model.loss_nodes(g, logits, seq))
     grads = repr([(name, g.grad(nodes[name]).data) for name in sorted(model.params)])
-    key = f"{mode}-{'dense' if moe is None else 'moe'}"
+    key = f"{mode}-{'dense' if moe is None else 'moe'}" + ("" if heads == 2 else f"-heads{heads}")
     assert hashlib.sha256(grads.encode()).hexdigest() == _GRADIENT_SHA256[key]
 
 

@@ -242,11 +242,12 @@ def per_token_moe_forward_nodes(g, x, bank, nodes, prefix="moe", stats=None):
         row = g.rows([x], [i])
         logits = g.matmul(row, nodes[f"{prefix}.router"])
         chosen = top_k(logits.t.data, cfg.top_k)
-        gates = g.softmax_masked(g.cols([logits], chosen), all_true_k)
+        picked = g.rows([g.reshape(logits, (cfg.num_experts, 1))], chosen)
+        gates = g.reshape(g.softmax_masked(g.reshape(picked, (1, cfg.top_k)), all_true_k), (cfg.top_k, 1))
         acc = None
         for slot, ei in enumerate(chosen):
             out = ffn(g, row, nodes[f"{prefix}.expert{ei}.w_in"], nodes[f"{prefix}.expert{ei}.w_out"])
-            gated = g.smul(out, g.cols([gates], [slot]))
+            gated = g.smul(out, g.rows([gates], [slot]))
             acc = gated if acc is None else g.add(acc, gated)
         if cfg.use_world_expert:
             world = ffn(g, row, nodes[f"{prefix}.world.w_in"], nodes[f"{prefix}.world.w_out"])

@@ -307,8 +307,6 @@ def test_row_select_repeats_and_col_select():
     n = g.param(x)
     rows = g.rows([n], [1, 0, 1]).t
     assert (rows.shape, rows.data) == ((3, 3), [4, 5, 6, 1, 2, 3, 4, 5, 6])
-    cols = g.cols([n], [2, 0]).t
-    assert (cols.shape, cols.data) == ((2, 2), [3, 1, 6, 4])
 
 
 def test_concat_rows_and_cols():
@@ -317,10 +315,6 @@ def test_concat_rows_and_cols():
     b = g.param(Tensor((2, 2), [3.0, 4.0, 5.0, 6.0]))
     rows = g.rows([a, b]).t
     assert (rows.shape, rows.data) == ((3, 2), [1, 2, 3, 4, 5, 6])
-    c = g.param(Tensor((2, 1), [7.0, 8.0]))
-    d = g.param(Tensor((2, 2), [9.0, 10.0, 11.0, 12.0]))
-    cols = g.cols([c, d]).t
-    assert (cols.shape, cols.data) == ((2, 3), [7, 9, 10, 8, 11, 12])
 
 
 def test_rows_and_cols_pick_across_parts_and_sum_repeats_in_order():
@@ -334,40 +328,18 @@ def test_rows_and_cols_pick_across_parts_and_sum_repeats_in_order():
     g.backward(dot(g, rows, g.constant(Tensor((4, 2), [0.1, 1.0, 0.3, 0.4, 0.2, 2.0, 0.3, 3.0]))))
     assert g.grad(a).data == [0.3, 0.4]
     assert g.grad(b).data == [0.0, 0.0, 0.6000000000000001, 6.0]
-    g = Graph()
-    c = g.param(Tensor((2, 1), [7.0, 8.0]))
-    d = g.param(Tensor((2, 2), [9.0, 10.0, 11.0, 12.0]))
-    cols = g.cols([c, d], [2, 0, 2, 2])
-    assert (cols.t.shape, cols.t.data) == ((2, 4), [10, 7, 10, 10, 12, 8, 12, 12])
-    g.backward(dot(g, cols, g.constant(Tensor((2, 4), [0.1, 0.5, 0.2, 0.3, 0.3, 0.25, 0.2, 0.1]))))
-    assert g.grad(c).data == [0.5, 0.25]
-    assert g.grad(d).data == [0.0, 0.6000000000000001, 0.0, 0.6]
 
 
 @pytest.mark.parametrize(
-    "op, shapes, indices",
-    [
-        ("rows", [(1, 2), (2, 2)], [3]),
-        ("rows", [(1, 2), (2, 2)], [0, -1]),
-        ("rows", [(1, 2), (2, 3)], None),
-        ("cols", [(2, 1), (2, 2)], [3]),
-        ("cols", [(2, 1), (2, 2)], [-1]),
-        ("cols", [(2, 1), (3, 1)], None),
-    ],
-    ids=[
-        "rows_past_end",
-        "rows_negative",
-        "rows_column_mismatch",
-        "cols_past_end",
-        "cols_negative",
-        "cols_row_mismatch",
-    ],
+    "shapes, indices",
+    [([(1, 2), (2, 2)], [3]), ([(1, 2), (2, 2)], [0, -1]), ([(1, 2), (2, 3)], None)],
+    ids=["rows_past_end", "rows_negative", "rows_column_mismatch"],
 )
-def test_rows_and_cols_reject_bad_indices_and_mismatched_parts(op, shapes, indices):
+def test_rows_and_cols_reject_bad_indices_and_mismatched_parts(shapes, indices):
     g = Graph()
     parts = [g.param(Tensor.zeros(*shape)) for shape in shapes]
     with pytest.raises(DimensionError):
-        getattr(g, op)(parts, indices)
+        g.rows(parts, indices)
 
 
 def test_every_public_graph_method_is_used_in_src():
@@ -413,10 +385,7 @@ def test_grad_check_quadratic():
         "transpose",
         "reshape",
         "row_select",
-        "col_select",
         "rows",
-        "cols",
-        "concat",
     ],
 )
 def test_grad_check_each_op(opname):
@@ -442,7 +411,7 @@ def test_grad_check_each_op(opname):
         elif opname == "smul":
             out = g.smul(na, ns)
         elif opname == "smul_column":
-            out = g.smul(na, g.cols([nw], [0]))
+            out = g.smul(na, g.rows([g.reshape(nw, (12, 1))], [0, 4, 8]))
         elif opname == "tanh":
             out = g.tanh(na)
         elif opname == "gelu":
@@ -459,14 +428,8 @@ def test_grad_check_each_op(opname):
             out = g.reshape(na, (4, 3))
         elif opname == "row_select":
             out = g.rows([na], [2, 0, 2])
-        elif opname == "col_select":
-            out = g.cols([na], [3, 1, 3])
-        elif opname == "rows":
-            out = g.rows([na, nw, na], [5, 0, 5, 2, 8])
-        elif opname == "cols":
-            out = g.cols([na, nw, na], [7, 1, 7, 3, 10])
         else:
-            out = g.cols([g.rows([na, nw]), g.rows([nw, na])])
+            out = g.rows([na, nw, na], [5, 0, 5, 2, 8])
         # squash through a nonlinearity so the sum has nontrivial curvature
         return dot(g, out, g.tanh(out))
 
