@@ -69,9 +69,9 @@ def load_run_config(path: str) -> RunConfig:
     """Sections [run] (seed), [model], [encoder], [moe] (enabled plus the
     MoEConfig fields) and [train] (the other RunConfig fields), one key per
     scalar field of the config dataclasses. A key left out keeps its value in
-    RunConfig(model=smoke_config()), or in MoEConfig() once [moe] is enabled.
-    Unknown sections and keys are rejected and every dataclass invariant is
-    re-validated."""
+    RunConfig(model=smoke_config()), or in MoEConfig(). Unknown sections and
+    keys are rejected and every dataclass invariant is re-validated, the
+    [moe] fields' too when the MoE is not enabled."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         if not parser.read(path):
@@ -96,9 +96,9 @@ def load_run_config(path: str) -> RunConfig:
 
     base = smoke_config()
     encoder = replace(base.encoder, **values(EncoderConfig, "encoder"))
-    moe = None
-    if parse_flag(given.get("moe", {}).get("enabled", "0")):
-        moe = MoEConfig(**values(MoEConfig, "moe"))
+    moe = MoEConfig(**values(MoEConfig, "moe"))
+    if not parse_flag(given.get("moe", {}).get("enabled", "0")):
+        moe = None
     model = replace(base, encoder=encoder, moe=moe, **values(ModelConfig, "model"))
     return RunConfig(model=model, **values(RunConfig, "run"), **values(RunConfig, "train"))
 
@@ -127,6 +127,8 @@ def cmd_cost(args) -> int:
             key, sep, value = item.partition("=")
             if not sep or key not in _SCENARIO_KEYS:
                 raise EvlmError(f"bad scenario field {item!r} (keys: {sorted(_SCENARIO_KEYS)})")
+            if key in kv:
+                raise EvlmError(f"scenario field {key!r} given twice")
             kv[key] = value
         missing = {"B", "s_img", "s_txt", "h_llm", "d_img"} - set(kv)
         if missing:
@@ -212,6 +214,8 @@ def cmd_probe(args) -> int:
     if not candidates:
         raise EvlmError("no candidate classes given")
     class_ids = [int(c) for c in candidates]
+    if min(class_ids + [args.image]) < 0:
+        raise EvlmError("class ids (--image, --candidates) must be >= 0")
     seed = _resolve_seed(args.seed, int(model.meta.get("seed", "0")))
     patches = synthetic_patches(model.cfg.encoder, args.image, args.sample, seed)
     best, losses = loss_probe(model, patches, [caption_tokens(c) for c in class_ids])

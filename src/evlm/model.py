@@ -306,13 +306,11 @@ class FusedModel:
         self_mask = build_self_mask(seq)
         builder = build_cross_mask_image if cfg.mask_mode == "image" else build_cross_mask_video
         cross_mask = builder(seq, cfg.encoder.patch_count, cfg.pad_len)
-        kv_cache: dict[int, Node] = {}
+        kvs = [  # every tap feeds some layer (assign_taps_to_xattn)
+            build_padded_kv(g, [img_taps[j] for img_taps in taps], cfg.pad_len, cfg.encoder.feature_dim)
+            for j in range(cfg.encoder.num_taps)
+        ]
         for t in range(cfg.llm_layers):
-            j = self.tap_assignment[t]
-            if j not in kv_cache:
-                kv_cache[j] = build_padded_kv(
-                    g, [img_taps[j] for img_taps in taps], cfg.pad_len, cfg.encoder.feature_dim
-                )
             layer = self.xattn_layers[t]
             prefix = f"xattn.{t}."
             lnodes = {name: nodes[prefix + name] for name in layer.params}
@@ -325,7 +323,7 @@ class FusedModel:
                 ffn_branch = functools.partial(
                     moe_forward_nodes, g, bank=bank, nodes=nodes, prefix=prefix + "moe", stats=stats
                 )
-            x = layer.forward_nodes(g, x, kv_cache[j], cross_mask, lnodes, ffn_branch=ffn_branch)
+            x = layer.forward_nodes(g, x, kvs[self.tap_assignment[t]], cross_mask, lnodes, ffn_branch=ffn_branch)
             x = block(g, x, nodes, f"llm.block{t}.", cfg.heads, self_mask)
         x = g.layer_norm(x, nodes["llm.ln_f.gain"], nodes["llm.ln_f.bias"])
         return g.matmul(x, nodes["llm.head"])

@@ -135,24 +135,24 @@ def top_k(logits: Sequence[float], k: int) -> list[int]:
     return sorted(order[:k])
 
 
-def route(x: Tensor, bank: ExpertBank) -> tuple[list[int], list[float]]:
-    """Top-k expert indices for one token plus softmax-renormalized gates.
+def route_nodes(g: Graph, logits: Node, k: int) -> tuple[list[list[int]], Node]:
+    """The routing rule for each row of logits (tokens, experts): top_k's
+    experts, and gates from one softmax over the row with every other expert
+    masked, so they are the softmax of the chosen logits alone and every
+    other entry is exactly 0.0."""
+    n_exp = logits.t.cols
+    ld = logits.t.data
+    chosen = [top_k(ld[i : i + n_exp], k) for i in range(0, len(ld), n_exp)]
+    return chosen, g.softmax_masked(logits, [[e in c for e in range(n_exp)] for c in chosen])
 
-    Ties break deterministically toward the lower expert index.
-    """
+
+def route(x: Tensor, bank: ExpertBank) -> tuple[list[int], list[float]]:
+    """route_nodes for one token: its expert indices and their gates."""
     if x.shape != (1, bank.router.shape[0]):
         raise DimensionError(f"route expects (1, {bank.router.shape[0]}), got {x.shape}")
     g = Graph()
-    logits = g.matmul(g.param(x), g.param(bank.router)).t.data
-    chosen = top_k(logits, bank.cfg.top_k)
-    gates = (
-        g.softmax_masked(
-            g.param(Tensor((1, len(chosen)), [logits[i] for i in chosen])),
-            [[True] * len(chosen)],
-        )
-        .t.data
-    )
-    return chosen, gates
+    (chosen,), gates = route_nodes(g, g.matmul(g.param(x), g.param(bank.router)), bank.cfg.top_k)
+    return chosen, [gates.t.data[e] for e in chosen]
 
 
 def moe_forward_nodes(
@@ -169,9 +169,10 @@ def moe_forward_nodes(
     hard selection itself is treated as locally constant.
 
     Grouped dispatch: all tokens of x are routed at once (one router matmul,
-    one top-k pass, one gate softmax), each active expert runs one FFN on the
-    stacked rows of the tokens that chose it, the world expert one FFN on all
-    rows, and row t of the output is ((slot 0 + slot 1) + ...) + world. Values
+    one route_nodes call), each active expert runs one FFN on the stacked
+    rows of the tokens that chose it and is gated by the gates' entry
+    (token, expert), the world expert runs one FFN on all rows, and row t of
+    the output is ((slot 0 + slot 1) + ...) + world. Values
     and gradients are bit-identical to running the tokens one at a time:
     matmuls and softmaxes act row by row; the weight gradients are added one
     row at a time, last row first (Graph.matmul_rows), as one call per token
@@ -186,34 +187,24 @@ def moe_forward_nodes(
     k, n_exp = cfg.top_k, cfg.num_experts
     xs = g.rows([x])
     logits = g.matmul_rows(xs, nodes[f"{prefix}.router"])  # (n_tok, N*M)
-    ld = logits.t.data
-    chosen = [top_k(ld[t * n_exp : (t + 1) * n_exp], k) for t in range(n_tok)]
-    members: list[list[tuple[int, int]]] = [[] for _ in range(n_exp)]  # (token, slot) by token
+    chosen, gates = route_nodes(g, logits, k)
+    members: list[list[int]] = [[] for _ in range(n_exp)]  # tokens by expert
     for t, experts in enumerate(chosen):
-        for slot, e in enumerate(experts):
-            members[e].append((t, slot))
-    stack = [ts for m in members for ts in m]  # expert outputs stacked by expert, then token
+        for e in experts:
+            members[e].append(t)
+    stack = [(t, e) for e, m in enumerate(members) for t in m]  # expert outputs by expert, then token
+    ex = f"{prefix}.expert"
     outs = [
-        ffn(
-            g,
-            g.rows([xs], [t for t, _ in m]),
-            nodes[f"{prefix}.expert{e}.w_in"],
-            nodes[f"{prefix}.expert{e}.w_out"],
-            per_row_grads=True,
-        )
+        ffn(g, g.rows([xs], m), nodes[f"{ex}{e}.w_in"], nodes[f"{ex}{e}.w_out"], per_row_grads=True)
         for e, m in enumerate(members)
         if m
     ]
-    gated = g.rows(outs)
-    flat = g.reshape(logits, (n_tok * n_exp, 1))
-    picked = g.rows([flat], [t * n_exp + e for t, experts in enumerate(chosen) for e in experts])
-    gates = g.softmax_masked(g.reshape(picked, (n_tok, k)), [[True] * k] * n_tok)
-    gate_rows = g.rows([g.reshape(gates, (n_tok * k, 1))], [t * k + slot for t, slot in stack])
-    gated = g.smul(gated, gate_rows)
-    row_of = {ts: r for r, ts in enumerate(stack)}
+    gate_rows = g.rows([g.reshape(gates, (n_tok * n_exp, 1))], [t * n_exp + e for t, e in stack])
+    gated = g.smul(g.rows(outs), gate_rows)
+    row_of = {te: r for r, te in enumerate(stack)}
     out: Node | None = None
     for slot in range(k):
-        part = g.rows([gated], [row_of[t, slot] for t in range(n_tok)])
+        part = g.rows([gated], [row_of[t, chosen[t][slot]] for t in range(n_tok)])
         out = part if out is None else g.add(out, part)
     if cfg.use_world_expert:
         world = ffn(g, xs, nodes[f"{prefix}.world.w_in"], nodes[f"{prefix}.world.w_out"], per_row_grads=True)

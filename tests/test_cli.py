@@ -89,6 +89,12 @@ def test_cost_unknown_scenario_key_rejected():
     assert out.returncode == 2
 
 
+def test_cost_repeated_scenario_key_rejected():
+    out = run_cli("cost", "--scenario", "B=1", "s_img=2", "s_txt=2", "h_llm=4", "d_img=4", "B=8")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and "'B'" in out.stderr
+
+
 # -- mask --------------------------------------------------------------------
 
 
@@ -210,6 +216,16 @@ def test_probe_error_paths(tiny_run):
     _, ckpt, _ = tiny_run
     assert run_cli("probe", "--checkpoint", "nope.ckpt", "--image", "0", "--candidates", "0").returncode == 2
     assert run_cli("probe", "--checkpoint", str(ckpt), "--image", "0", "--candidates", "").returncode == 2
+
+
+@pytest.mark.parametrize(
+    "image,candidates", [("-5", "0"), ("0", "-1"), ("1", "0,-1")], ids=["image", "candidate", "second_candidate"]
+)
+def test_probe_negative_class_id_is_a_usage_error(tiny_run, image, candidates):
+    _, ckpt, _ = tiny_run
+    out = run_cli("probe", "--checkpoint", str(ckpt), "--image", image, "--candidates", candidates)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1
 
 
 def test_probe_rejects_truncated_parameter_data(tiny_run, tmp_path):
@@ -334,6 +350,28 @@ def test_config_flag_other_than_0_or_1_rejected(tmp_path, section):
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1
     assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "section",
+    ["[moe]\nenabled = 0\ntop_k = abc\n", "[moe]\nenabled = 0\nn_replicas = -3\n", "[moe]\ntop_k = 99\n"],
+    ids=["top_k_not_int", "n_replicas_negative", "top_k_above_experts_without_enabled"],
+)
+def test_moe_section_is_validated_when_not_enabled(tmp_path, section):
+    cfg = tmp_path / "moe.cfg"
+    cfg.write_text(TINY_CONFIG + section)
+    out = run_cli("train-smoke", "--config", str(cfg), "--steps", "0", "--out", str(tmp_path / "x.ckpt"))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_valid_moe_section_without_enabled_keeps_the_model_dense(tmp_path):
+    from evlm.cli import load_run_config
+
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text(TINY_CONFIG + "[moe]\nenabled = 0\ntop_k = 2\n")
+    assert load_run_config(str(cfg)).model.moe is None
 
 
 @pytest.mark.parametrize(

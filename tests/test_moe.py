@@ -132,6 +132,22 @@ def test_route_deterministic():
     assert route(x, bank) == route(x, bank)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("router", ["zero", "random"])
+def test_route_gates_are_the_softmax_of_the_picked_logits_bit_for_bit(k, router):
+    bank = upcycle(make_dense(), MoEConfig(n_replicas=2, segments=2, top_k=k))
+    for trial in range(10):
+        if router == "random":
+            bank.router = Tensor.randn((6, 4), derive_seed(trial, "router"))
+        x = rand_input(6, trial + 200)
+        idx, gates = route(x, bank)
+        g = Graph()
+        logits = g.matmul(g.param(x), g.param(bank.router)).t.data
+        assert idx == top_k(logits, k)
+        picked = g.param(Tensor((1, k), [logits[i] for i in idx]))
+        assert bits(gates) == bits(g.softmax_masked(picked, [[True] * k]).t.data)
+
+
 # -- moe_forward_nodes ----------------------------------------------------------
 
 
@@ -338,6 +354,32 @@ def test_one_call_issues_one_matmul_per_router_expert_weight(monkeypatch, use_wo
     run_moe(Tensor.randn((n_tok, 6), derive_seed(n_tok, "tokens")), bank, stats=stats)
     active = sum(1 for a in stats.assignments if a)
     assert len(calls) == 1 + 2 * active + 2 * use_world_expert
+
+
+@pytest.mark.parametrize("use_world_expert", [True, False])
+@pytest.mark.parametrize("with_stats", [True, False])
+@pytest.mark.parametrize("k,n_tok", [(1, 1), (2, 5), (4, 3)])
+def test_one_call_issues_an_exact_number_of_graph_ops(monkeypatch, k, n_tok, with_stats, use_world_expert):
+    """Seven ops per call (token gather, router matmul, gate softmax, its
+    reshape, the stacked expert outputs, their gates, the gating product),
+    four per active expert (row gather and FFN), k row gathers and k - 1 adds
+    that sum the slots, four for the world expert (FFN and add) and one for
+    the stats softmax."""
+    cfg = MoEConfig(n_replicas=2, segments=2, top_k=k, use_world_expert=use_world_expert)
+    bank = random_bank(cfg, "random")
+    g = Graph()
+    nodes = {n: g.param(t) for n, t in bank.param_items()}
+    x = g.param(Tensor.randn((n_tok, 6), derive_seed(n_tok, "tokens")))
+    stats = RoutingStats(cfg.num_experts)
+    ops = []
+    out = Graph._out
+    monkeypatch.setattr(Graph, "_out", lambda g, *a: ops.append(1) or out(g, *a))
+    moe_forward_nodes(g, x, bank, nodes, stats=stats if with_stats else None)
+    monkeypatch.undo()
+    if not with_stats:
+        run_moe(x.t, bank, stats=stats)
+    active = sum(1 for a in stats.assignments if a)
+    assert len(ops) == 6 + 4 * active + 2 * k + 4 * use_world_expert + with_stats
 
 
 # -- aux loss ----------------------------------------------------------------------
