@@ -4,7 +4,8 @@ A Graph instance records every operation in issue order, which is already a
 topological order, so the backward pass is a single reverse sweep that visits
 each node exactly once. Graphs are single-threaded and cheap; build a fresh
 one per forward/backward episode. Parameters are plain Tensors shared across
-graphs; gradients live on the graph, keyed by node.
+graphs. A graph runs backward once: the sweep frees each op's closure and
+gradient as it passes, so afterwards the graph keeps leaf gradients only.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate, chain
 from math import isfinite
-from operator import mul as _opmul
+from operator import add as _opadd, mul as _opmul
 from typing import Callable, Sequence
 
 from ..errors import ContractViolationError, DimensionError, NonFiniteError
@@ -67,11 +68,6 @@ def transpose_data(d: list[float], m: int, n: int) -> list[float]:
     return out
 
 
-def _add_into(dst: list[float], src: list[float]) -> None:
-    for i, v in enumerate(src):
-        dst[i] += v
-
-
 class Node:
     """A tensor value bound to its position in a graph's tape."""
 
@@ -83,8 +79,16 @@ class Node:
 
 
 # Backward closures receive (grad_out_data, accumulate) where accumulate
-# adds a gradient contribution to a parent node.
-BackwardFn = Callable[[list[float], Callable[[Node, list[float]], None]], None]
+# adds a gradient contribution to the parent at a tape index. A closure holds
+# its parents' indices and only the data its own backward reads, never a Node,
+# so forward values no backward reads are freed with their nodes. accumulate
+# keeps a first contribution as is and adds later ones into a new list, which
+# is sound only because no closure writes into a list it received or passed on.
+BackwardFn = Callable[[list[float], Callable[[int, list[float]], None]], None]
+
+
+def _spent(g: list[float], acc: Callable[[int, list[float]], None]) -> None:
+    raise ContractViolationError("backward already swept this op; a graph runs backward once")
 
 
 class Graph:
@@ -114,27 +118,29 @@ class Graph:
         grads: list[list[float] | None] = [None] * (root.idx + 1)
         grads[root.idx] = [1.0]
 
-        def acc(node: Node, delta: list[float]) -> None:
-            g = grads[node.idx]
-            if g is None:
-                grads[node.idx] = list(delta)
-            else:
-                _add_into(g, delta)
+        def acc(i: int, delta: list[float]) -> None:
+            g = grads[i]
+            grads[i] = delta if g is None else list(map(_opadd, g, delta))
 
         bwd_fns = self._bwd
         for i in range(root.idx, -1, -1):
-            g = grads[i]
-            if g is None:
-                continue
             fn = bwd_fns[i]
-            if fn is not None:
+            if fn is None:  # a leaf keeps its gradient
+                continue
+            bwd_fns[i] = _spent
+            g, grads[i] = grads[i], None
+            if g is not None:
                 fn(g, acc)
         self._grads = grads
 
     def grad(self, node: Node) -> Tensor:
-        """Gradient of the last backward() root w.r.t. node (zeros if unreached)."""
+        """Gradient of the backward() root w.r.t. a param or constant node
+        (zeros if unreached). Op results keep no gradient: backward frees
+        each as it sweeps, so asking for one violates the contract."""
         if self._grads is None:
             raise ContractViolationError("grad() before backward()")
+        if self._bwd[node.idx] is not None:
+            raise ContractViolationError("grad() of an op result; only leaf gradients are kept")
         g = self._grads[node.idx] if node.idx < len(self._grads) else None
         if g is None:
             return Tensor.zeros(*node.t.shape)
@@ -151,12 +157,12 @@ class Graph:
         (m, k), (k2, n) = a.t.shape, b.t.shape
         if k != k2:
             raise DimensionError(f"matmul {a.t.shape} @ {b.t.shape}")
-        ad, bd = a.t.data, b.t.data
+        ai, bi, ad, bd = a.idx, b.idx, a.t.data, b.t.data
         out = mm_data(ad, m, k, bd, n)
 
         def bwd(g: list[float], acc) -> None:
-            acc(a, mm_abt_data(g, m, n, bd, k))  # dA = G @ B^T
-            acc(b, mm_data(transpose_data(ad, m, k), k, m, g, n))  # dB = A^T @ G
+            acc(ai, mm_abt_data(g, m, n, bd, k))  # dA = G @ B^T
+            acc(bi, mm_data(transpose_data(ad, m, k), k, m, g, n))  # dB = A^T @ G
 
         return self._out((m, n), out, bwd)
 
@@ -168,12 +174,12 @@ class Graph:
         it to b's gradient, which rounds differently."""
         out = self.matmul(a, b)
         (m, k), n = a.t.shape, b.t.shape[1]
-        ad, bd = a.t.data, b.t.data
+        ai, bi, ad, bd = a.idx, b.idx, a.t.data, b.t.data
 
         def bwd(g: list[float], acc) -> None:
-            acc(a, mm_abt_data(g, m, n, bd, k))
+            acc(ai, mm_abt_data(g, m, n, bd, k))
             for i in range(m - 1, -1, -1):
-                acc(b, mm_data(ad[i * k : (i + 1) * k], k, 1, g[i * n : (i + 1) * n], n))
+                acc(bi, mm_data(ad[i * k : (i + 1) * k], k, 1, g[i * n : (i + 1) * n], n))
 
         self._bwd[out.idx] = bwd
         return out
@@ -181,20 +187,22 @@ class Graph:
     def add(self, a: Node, b: Node) -> Node:
         if a.t.shape != b.t.shape:
             raise DimensionError(f"add {a.t.shape} + {b.t.shape}")
+        ai, bi = a.idx, b.idx
         out = [x + y for x, y in zip(a.t.data, b.t.data)]
 
         def bwd(g: list[float], acc) -> None:
-            acc(a, g)
-            acc(b, g)
+            acc(ai, g)
+            acc(bi, g)
 
         return self._out(a.t.shape, out, bwd)
 
     def scale(self, a: Node, c: float) -> Node:
         """Multiply by a Python float constant."""
+        ai = a.idx
         out = [c * x for x in a.t.data]
 
         def bwd(g: list[float], acc) -> None:
-            acc(a, [c * gv for gv in g])
+            acc(ai, [c * gv for gv in g])
 
         return self._out(a.t.shape, out, bwd)
 
@@ -207,31 +215,32 @@ class Graph:
         if s.t.cols != 1 or rows not in (1, a.t.rows):
             raise DimensionError(f"smul {a.t.shape} by {s.t.shape}")
         w = a.t.size // rows
-        ad, sd = a.t.data, s.t.data
+        ai, si, ad, sd = a.idx, s.idx, a.t.data, s.t.data
         out = [sv * x for r, sv in enumerate(sd) for x in ad[r * w : (r + 1) * w]]
 
         def bwd(g: list[float], acc) -> None:
-            acc(a, [sv * gv for r, sv in enumerate(sd) for gv in g[r * w : (r + 1) * w]])
-            acc(s, [sum(map(_opmul, g[r * w : (r + 1) * w], ad[r * w : (r + 1) * w])) for r in range(rows)])
+            acc(ai, [sv * gv for r, sv in enumerate(sd) for gv in g[r * w : (r + 1) * w]])
+            acc(si, [sum(map(_opmul, g[r * w : (r + 1) * w], ad[r * w : (r + 1) * w])) for r in range(rows)])
 
         return self._out(a.t.shape, out, bwd)
 
     def tanh(self, a: Node) -> Node:
+        ai = a.idx
         out = list(map(math.tanh, a.t.data))
 
         def bwd(g: list[float], acc) -> None:
-            acc(a, [gv * (1.0 - y * y) for gv, y in zip(g, out)])
+            acc(ai, [gv * (1.0 - y * y) for gv, y in zip(g, out)])
 
         return self._out(a.t.shape, out, bwd)
 
     def gelu(self, a: Node) -> Node:
         """Exact erf-based gelu."""
-        ad = a.t.data
+        ai, ad = a.idx, a.t.data
         out = [0.5 * x * (1.0 + math.erf(x * _INV_SQRT2)) for x in ad]
 
         def bwd(g: list[float], acc) -> None:
             acc(
-                a,
+                ai,
                 [
                     gv
                     * (
@@ -245,11 +254,11 @@ class Graph:
         return self._out(a.t.shape, out, bwd)
 
     def transpose(self, a: Node) -> Node:
-        m, n = a.t.shape
+        (m, n), ai = a.t.shape, a.idx
         out = transpose_data(a.t.data, m, n)
 
         def bwd(g: list[float], acc) -> None:
-            acc(a, transpose_data(g, n, m))
+            acc(ai, transpose_data(g, n, m))
 
         return self._out((n, m), out, bwd)
 
@@ -257,9 +266,10 @@ class Graph:
         shape = tuple(int(s) for s in shape)
         if math.prod(shape) != a.t.size:
             raise DimensionError(f"reshape {a.t.shape} -> {shape}")
+        ai = a.idx
 
         def bwd(g: list[float], acc) -> None:
-            acc(a, g)
+            acc(ai, g)
 
         return self._out(shape, list(a.t.data), bwd)
 
@@ -287,14 +297,14 @@ class Graph:
         for i in idx:
             out.extend(stack[i * n : (i + 1) * n])
 
+        spans = [(p.idx, off, p.t.size) for p, off in zip(parts, accumulate([0, *(p.t.size for p in parts)]))]
+
         def bwd(g: list[float], acc) -> None:
             delta = [0.0] * (m * n)
             for r, i in enumerate(idx):
-                off_src, off_dst = r * n, i * n
-                for j in range(n):
-                    delta[off_dst + j] += g[off_src + j]
-            for p, off in zip(parts, accumulate([0, *(p.t.size for p in parts)])):
-                acc(p, delta if len(parts) == 1 else delta[off : off + p.t.size])
+                delta[i * n : (i + 1) * n] = map(_opadd, delta[i * n : (i + 1) * n], g[r * n : (r + 1) * n])
+            for pi, off, size in spans:
+                acc(pi, delta if len(spans) == 1 else delta[off : off + size])
 
         return self._out((len(idx), n), out, bwd)
 
@@ -306,6 +316,7 @@ class Graph:
         if gain.t.shape != (1, d) or bias.t.shape != (1, d):
             raise DimensionError(f"layer_norm params must be (1,{d})")
         xd, gd, bd = x.t.data, gain.t.data, bias.t.data
+        xi, gi, bi = x.idx, gain.idx, bias.idx
         out: list[float] = []
         xhat: list[float] = []
         inv_sigmas: list[float] = []
@@ -332,12 +343,11 @@ class Graph:
                 mean_gg = sum(gg) / d
                 mean_ggh = sum(v * h for v, h in zip(gg, hrow)) / d
                 dx.extend((v - mean_gg - h * mean_ggh) * inv for v, h in zip(gg, hrow))
-                for j in range(d):
-                    dgain[j] += grow[j] * hrow[j]
-                    dbias[j] += grow[j]
-            acc(x, dx)
-            acc(gain, dgain)
-            acc(bias, dbias)
+                dgain = list(map(_opadd, dgain, map(_opmul, grow, hrow)))
+                dbias = list(map(_opadd, dbias, grow))
+            acc(xi, dx)
+            acc(gi, dgain)
+            acc(bi, dbias)
 
         return self._out((m, d), out, bwd)
 
@@ -351,7 +361,7 @@ class Graph:
         q, k = scores.t.shape
         if len(mask) != q or any(len(r) != k for r in mask):
             raise DimensionError(f"mask shape does not match scores {scores.t.shape}")
-        sd = scores.t.data
+        si, sd = scores.idx, scores.t.data
         out: list[float] = []
         for i in range(q):
             row = sd[i * k : (i + 1) * k]
@@ -373,7 +383,7 @@ class Graph:
                 grow = g[off : off + k]
                 dot = sum(map(_opmul, grow, prow))
                 ds.extend(p * (gv - dot) for p, gv in zip(prow, grow))
-            acc(scores, ds)
+            acc(si, ds)
 
         return self._out((q, k), out, bwd)
 
@@ -389,7 +399,7 @@ class Graph:
         active = [i for i in range(t) if loss_mask[i]]
         if not active:
             raise ContractViolationError("all positions masked in cross_entropy")
-        ld = logits.t.data
+        li, ld = logits.idx, logits.t.data
         probs_cache: dict[int, list[float]] = {}
         total = 0.0
         for i in active:
@@ -411,6 +421,6 @@ class Graph:
                 for j in range(v):
                     dl[off + j] = probs[j] * scale
                 dl[off + targets[i]] -= scale
-            acc(logits, dl)
+            acc(li, dl)
 
         return self._out((1, 1), out, bwd)

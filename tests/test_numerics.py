@@ -445,6 +445,34 @@ def test_backward_accumulates_shared_parents():
     assert abs(g.grad(n).item() - 7.0) < 1e-12
 
 
+def leaf_and_ops_graph():
+    """x, an unreached leaf, y = 3x, an op backward never reaches, and the
+    loss dot(y, y), whose gradient for x is 18x."""
+    g = Graph()
+    x = g.param(Tensor((1, 2), [1.0, 2.0]))
+    unused = g.constant(Tensor((1, 1), [5.0]))
+    y = g.scale(x, 3.0)
+    stray = g.tanh(x)
+    return g, x, unused, [y, stray], dot(g, y, y)
+
+
+def test_a_graph_runs_backward_once():
+    g, _, _, _, loss = leaf_and_ops_graph()
+    g.backward(loss)
+    with pytest.raises(ContractViolationError):
+        g.backward(loss)
+
+
+def test_grad_is_kept_for_leaves_only():
+    g, x, unused, ops, loss = leaf_and_ops_graph()
+    g.backward(loss)
+    assert g.grad(x).data == [18.0, 36.0]
+    assert g.grad(unused).data == [0.0]
+    for op in [*ops, loss, g.scale(x, 2.0)]:  # reached, unreached, root, issued after backward
+        with pytest.raises(ContractViolationError):
+            g.grad(op)
+
+
 def test_grad_check_one_layer_model_cross_entropy():
     # embedding -> linear -> gelu -> linear -> cross-entropy
     table = Tensor.randn((5, 4), derive_seed(3, "emb"), 0.5)
