@@ -7,12 +7,21 @@ NaN/Inf surfaces at the operation that produced it.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from typing import Callable
 
 from ..errors import DimensionError, NonFiniteError
+
+# CPython's built-in SHA-256 (the one hashlib falls back to): importing
+# hashlib would map OpenSSL's libcrypto, ~3.4 MB resident, into every process.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:  # an interpreter built without the built-in module
+        from hashlib import sha256
 
 Shape = tuple[int, ...]
 
@@ -22,7 +31,7 @@ def derive_seed(root_seed: int, name: str) -> int:
 
     Hash-based so the result does not depend on parameter creation order.
     """
-    digest = hashlib.sha256(f"{root_seed}/{name}".encode()).digest()
+    digest = sha256(f"{root_seed}/{name}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

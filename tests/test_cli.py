@@ -551,3 +551,30 @@ def test_fuzzed_checkpoints_and_arguments_end_in_a_documented_exit_code(tmp_path
         assert exit_code(probe) in {0, 2, 3, 4, 5}, f"checkpoint mutant {i}"
     for argv in [["upcycle-check", "--width", "0"]] + [mutate_argv(rng) for _ in range(200)]:
         assert exit_code(argv) in {0, 2, 3, 4, 5}, argv
+
+
+FOOTPRINT_PROBE = """\
+import sys
+before = set(sys.modules)
+import evlm.cli
+from evlm.model import smoke_config, train_smoke
+train_smoke(smoke_config(), steps=1, seed=0)
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_and_a_training_step_load_only_stdlib_modules_and_no_openssl():
+    # in a fresh interpreter: pytest itself has imported hashlib here
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_PROBE],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    added = done.stdout.split()
+    assert "evlm.cli" in added
+    assert not {"hashlib", "_hashlib", "_ssl"} & set(added)
+    foreign = [m for m in added if m.split(".")[0] not in sys.stdlib_module_names | {"evlm"}]
+    assert not foreign
