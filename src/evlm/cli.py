@@ -165,7 +165,7 @@ def cmd_mask(args) -> int:
     seq = parse_seq_spec(args.seq, args.media_len)
     builder = build_cross_mask_image if args.mode == "image" else build_cross_mask_video
     mask = builder(seq, args.s_img, args.pad)
-    sys.stdout.write(format_mask_dump(mask.allow, mask.pad_len, args.mode))
+    sys.stdout.write(format_mask_dump(mask, args.pad, args.mode))
     return EXIT_OK
 
 

@@ -1,10 +1,11 @@
 """Gated cross-attention layer and the attention-permission masks that govern
 it: learnable media tokens standing in for each image, zero-padded visual
-keys so text always has a null target, and the image/video mask modes."""
+keys so text always has a null target, and one cross-mask rule with image and
+video modes. Masks are plain boolean matrices, like the causal mask."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DimensionError, SequenceError
@@ -38,12 +39,12 @@ class InterleavedSequence:
     """Ordered stream of text tokens and per-image media-token slots.
 
     Each image occupies one contiguous run of media_len slots, and runs appear
-    in ascending image order.
+    in ascending image order; num_images is the number of runs.
     """
 
     elements: list[Element]
     media_len: int
-    num_images: int = 0
+    num_images: int = field(init=False)
 
     def __post_init__(self):
         if self.media_len < 1:
@@ -68,8 +69,7 @@ class InterleavedSequence:
             pos += self.media_len
         if runs != list(range(len(runs))):
             raise SequenceError(f"image runs must be 0..n-1 in order, got {runs}")
-        if self.num_images != len(runs):
-            raise SequenceError(f"num_images={self.num_images} but found {len(runs)} runs")
+        self.num_images = len(runs)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -78,85 +78,60 @@ class InterleavedSequence:
 def insert_media_tokens(items: Iterable[int | ImageMarker], media_len: int) -> InterleavedSequence:
     """Expand each image marker into media_len slots, preserving text order.
 
-    Markers must reference images 0..n-1 in order, each exactly once.
+    Markers must reference images 0..n-1 in order, each exactly once; the
+    sequence enforces this and raises SequenceError otherwise.
     """
     elements: list[Element] = []
-    next_image = 0
     for item in items:
         if isinstance(item, ImageMarker):
-            if item.index != next_image:
-                raise SequenceError(
-                    f"image marker {item.index} out of order (expected {next_image})"
-                )
             elements.extend(MediaSlot(item.index, s) for s in range(media_len))
-            next_image += 1
         else:
             elements.append(Text(int(item)))
-    return InterleavedSequence(elements, media_len=media_len, num_images=next_image)
+    return InterleavedSequence(elements, media_len=media_len)
 
 
 # -- masks --------------------------------------------------------------------
 
 
-@dataclass
-class CrossMask:
+def _cross_mask(seq: InterleavedSequence, s_img: int, pad_len: int, text_sees_every_image: bool) -> list[list[bool]]:
     """Boolean permission matrix [len(seq) x (num_images*s_img + pad_len)].
 
     Columns are partitioned into per-image feature blocks followed by a
-    trailing all-zero pad block; every row allows at least one column.
+    trailing all-zero pad block; every row allows at least one column. A media
+    slot sees exactly its own image's block. A text row sees the pad block plus
+    every image block (video) or the block of the most recent preceding image
+    (image; none if no image precedes).
     """
-
-    allow: list[list[bool]]
-    pad_len: int
-
-    @property
-    def cols(self) -> int:
-        return len(self.allow[0]) if self.allow else self.pad_len
-
-
-def _mask_dims(seq: InterleavedSequence, s_img: int, pad_len: int) -> int:
     if s_img <= 0:
         raise ConfigError("s_img must be positive")
     if pad_len <= 0:
         raise ConfigError("pad_len must be positive")
-    return seq.num_images * s_img + pad_len
-
-
-def build_cross_mask_image(seq: InterleavedSequence, s_img: int, pad_len: int = 1) -> CrossMask:
-    """Image mode: media slots see exactly their own image block; text sees
-    the block of the most recent preceding image plus the pad block (pad only
-    if no image precedes)."""
-    cols = _mask_dims(seq, s_img, pad_len)
+    n_feat = seq.num_images * s_img
     allow: list[list[bool]] = []
     last_image = -1
     for el in seq.elements:
-        row = [False] * cols
+        row = [False] * (n_feat + pad_len)
         if isinstance(el, MediaSlot):
             last_image = el.image
             row[el.image * s_img : (el.image + 1) * s_img] = [True] * s_img
         else:
-            if last_image >= 0:
+            if text_sees_every_image:
+                row[:n_feat] = [True] * n_feat
+            elif last_image >= 0:
                 row[last_image * s_img : (last_image + 1) * s_img] = [True] * s_img
-            row[cols - pad_len :] = [True] * pad_len
+            row[n_feat:] = [True] * pad_len
         allow.append(row)
-    return CrossMask(allow, pad_len)
+    return allow
 
 
-def build_cross_mask_video(seq: InterleavedSequence, s_img: int, pad_len: int = 1) -> CrossMask:
-    """Video mode: media slots still see only their own frame block, but text
-    sees every frame block plus the pad block."""
-    cols = _mask_dims(seq, s_img, pad_len)
-    n_feat = seq.num_images * s_img
-    allow: list[list[bool]] = []
-    for el in seq.elements:
-        row = [False] * cols
-        if isinstance(el, MediaSlot):
-            row[el.image * s_img : (el.image + 1) * s_img] = [True] * s_img
-        else:
-            row[:n_feat] = [True] * n_feat
-            row[cols - pad_len :] = [True] * pad_len
-        allow.append(row)
-    return CrossMask(allow, pad_len)
+def build_cross_mask_image(seq: InterleavedSequence, s_img: int, pad_len: int = 1) -> list[list[bool]]:
+    """Image mode: text sees the most recent preceding image and the pad."""
+    return _cross_mask(seq, s_img, pad_len, text_sees_every_image=False)
+
+
+def build_cross_mask_video(seq: InterleavedSequence, s_img: int, pad_len: int = 1) -> list[list[bool]]:
+    """Video mode: text sees every frame and the pad."""
+    return _cross_mask(seq, s_img, pad_len, text_sees_every_image=True)
 
 
 def build_self_mask(seq: InterleavedSequence) -> list[list[bool]]:
@@ -229,23 +204,21 @@ class GatedXAttn:
         g: Graph,
         hidden: Node,
         kv: Node,
-        mask: CrossMask,
+        mask: list[list[bool]],
         nodes: Mapping[str, Node],
         ffn_branch: Callable[[Node], Node] | None = None,
     ) -> Node:
         """hidden + tanh(a_attn)*XAttn(hidden, kv) then + tanh(a_ffn)*FFN(.).
 
-        kv must already carry the pad_len all-zero rows; the mask column count
-        must match its row count. ffn_branch swaps in a replacement FFN (the
-        MoE block) while staying behind the same gate.
+        kv must already carry the pad_len all-zero rows; the mask has one row
+        per hidden row and one column per kv row. ffn_branch swaps in a
+        replacement FFN (the MoE block) while staying behind the same gate.
         """
-        if len(mask.allow) != hidden.t.rows:
-            raise DimensionError(
-                f"mask has {len(mask.allow)} rows for {hidden.t.rows} query positions"
-            )
-        if mask.cols != kv.t.rows:
-            raise DimensionError(f"mask has {mask.cols} columns for {kv.t.rows} key rows")
-        attn = attention(g, hidden, kv, nodes["wq"], nodes["wk"], nodes["wv"], nodes["wo"], 1, mask.allow)
+        if len(mask) != hidden.t.rows:
+            raise DimensionError(f"mask has {len(mask)} rows for {hidden.t.rows} query positions")
+        if len(mask[0]) != kv.t.rows:
+            raise DimensionError(f"mask has {len(mask[0])} columns for {kv.t.rows} key rows")
+        attn = attention(g, hidden, kv, nodes["wq"], nodes["wk"], nodes["wv"], nodes["wo"], 1, mask)
         h1 = g.add(hidden, g.smul(attn, g.tanh(nodes["alpha_attn"])))
         if ffn_branch is None:
             ffn_branch = self.dense_ffn_branch(g, nodes)

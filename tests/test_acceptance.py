@@ -201,15 +201,15 @@ def test_criterion_3_mask_oracles():
                 for s_img, pad_len in ((1, 1), (2, 2)):
                     img = build_cross_mask_image(seq, s_img, pad_len)
                     vid = build_cross_mask_video(seq, s_img, pad_len)
-                    assert img.allow == _image_rule(seq, s_img, pad_len)
-                    assert vid.allow == _video_rule(seq, s_img, pad_len)
+                    assert img == _image_rule(seq, s_img, pad_len)
+                    assert vid == _video_rule(seq, s_img, pad_len)
                     for mask in (img, vid):
-                        assert all(any(row) for row in mask.allow)
+                        assert all(any(row) for row in mask)
                     if seq.num_images == 1:
                         first = next(
                             i for i, e in enumerate(seq.elements) if isinstance(e, MediaSlot)
                         )
-                        assert img.allow[first:] == vid.allow[first:]
+                        assert img[first:] == vid[first:]
                     checked += 1
         # 254 patterns at media_len=1 plus 86 at media_len=2, twice each
         assert checked == 680, f"enumeration size changed: {checked}"

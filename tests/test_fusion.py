@@ -54,15 +54,15 @@ def test_insert_rejects_out_of_order_and_duplicate_markers():
         insert_media_tokens([ImageMarker(1), ImageMarker(0)], media_len=2)
     with pytest.raises(SequenceError):
         insert_media_tokens([ImageMarker(0), ImageMarker(0)], media_len=2)
+    with pytest.raises(SequenceError):
+        insert_media_tokens([ImageMarker(1)], media_len=2)
 
 
 def test_sequence_invariants_enforced():
     with pytest.raises(SequenceError):
-        InterleavedSequence([MediaSlot(0, 0)], media_len=2, num_images=1)
-    with pytest.raises(SequenceError):
-        InterleavedSequence(
-            [MediaSlot(0, 0), MediaSlot(0, 1), Text(1)], media_len=2, num_images=2
-        )
+        InterleavedSequence([MediaSlot(0, 0)], media_len=2)
+    # num_images is counted from the runs, never passed in
+    assert InterleavedSequence([MediaSlot(0, 0), MediaSlot(0, 1), Text(1)], media_len=2).num_images == 1
 
 
 # -- mask oracles -----------------------------------------------------------------
@@ -128,38 +128,38 @@ def test_masks_match_brute_force_rules(media_len):
     for seq in gen_sequences(6, 3, media_len):
         for s_img, pad_len in [(1, 1), (3, 2)]:
             got = build_cross_mask_image(seq, s_img, pad_len)
-            assert got.allow == image_mask_oracle(seq, s_img, pad_len)
+            assert got == image_mask_oracle(seq, s_img, pad_len)
             gotv = build_cross_mask_video(seq, s_img, pad_len)
-            assert gotv.allow == video_mask_oracle(seq, s_img, pad_len)
+            assert gotv == video_mask_oracle(seq, s_img, pad_len)
             for mask in (got, gotv):
-                for row in mask.allow:
+                for row in mask:
                     assert any(row)
 
 
 def test_image_mask_no_image_text_gets_pad_only():
     # with zero images the column space is just the pad block
-    seq = InterleavedSequence([Text(0)], media_len=2, num_images=0)
+    seq = InterleavedSequence([Text(0)], media_len=2)
     mask = build_cross_mask_image(seq, s_img=4, pad_len=2)
-    assert mask.allow == [[True, True]]
+    assert mask == [[True, True]]
 
 
 def test_image_mask_text_before_image_gets_pad_only():
-    seq = InterleavedSequence([Text(0), MediaSlot(0, 0)], media_len=1, num_images=1)
+    seq = InterleavedSequence([Text(0), MediaSlot(0, 0)], media_len=1)
     mask = build_cross_mask_image(seq, s_img=4, pad_len=2)
-    assert mask.allow[0] == [False] * 4 + [True] * 2
+    assert mask[0] == [False] * 4 + [True] * 2
 
 
 def test_image_mask_slot_and_text_rows():
-    seq = InterleavedSequence([MediaSlot(0, 0), Text(0)], media_len=1, num_images=1)
+    seq = InterleavedSequence([MediaSlot(0, 0), Text(0)], media_len=1)
     mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
-    assert mask.allow == [[True, True, False], [True, True, True]]
+    assert mask == [[True, True, False], [True, True, True]]
 
 
 def test_image_mask_text_after_second_image_ignores_first():
     seq = insert_media_tokens([ImageMarker(0), 1, ImageMarker(1), 2, 3], media_len=2)
     mask = build_cross_mask_image(seq, s_img=3, pad_len=1)
     for pos in (5, 6):  # text after image 1's run
-        row = mask.allow[pos]
+        row = mask[pos]
         assert row[:3] == [False] * 3
         assert row[3:6] == [True] * 3
         assert row[6]
@@ -169,10 +169,10 @@ def test_video_mask_examples():
     seq = insert_media_tokens([ImageMarker(0), 1, ImageMarker(1), ImageMarker(2), 2], media_len=2)
     mask = build_cross_mask_video(seq, s_img=2, pad_len=1)
     for pos in (2, 7):  # text rows see all three frame blocks
-        assert mask.allow[pos] == [True] * 7
+        assert mask[pos] == [True] * 7
     # frame 1's media slots see only block 1
-    assert mask.allow[3] == [False, False, True, True, False, False, False]
-    assert mask.allow[4] == [False, False, True, True, False, False, False]
+    assert mask[3] == [False, False, True, True, False, False, False]
+    assert mask[4] == [False, False, True, True, False, False, False]
 
 
 def test_single_image_mode_agreement():
@@ -186,7 +186,7 @@ def test_single_image_mode_agreement():
             first_image_pos = next(
                 (i for i, e in enumerate(seq.elements) if isinstance(e, MediaSlot)), None
             )
-            for i, (ra, rb) in enumerate(zip(a.allow, b.allow)):
+            for i, (ra, rb) in enumerate(zip(a, b)):
                 if first_image_pos is None or i < first_image_pos:
                     continue
                 assert ra == rb
@@ -194,13 +194,13 @@ def test_single_image_mode_agreement():
 
 def test_mode_divergence_only_for_text_before_first_image():
     seq = InterleavedSequence(
-        [Text(1), MediaSlot(0, 0), Text(2)], media_len=1, num_images=1
+        [Text(1), MediaSlot(0, 0), Text(2)], media_len=1
     )
     img = build_cross_mask_image(seq, s_img=2, pad_len=1)
     vid = build_cross_mask_video(seq, s_img=2, pad_len=1)
-    assert img.allow[0] == [False, False, True]
-    assert vid.allow[0] == [True, True, True]
-    assert img.allow[1:] == vid.allow[1:]
+    assert img[0] == [False, False, True]
+    assert vid[0] == [True, True, True]
+    assert img[1:] == vid[1:]
 
 
 def test_masks_match_brute_force_on_random_long_sequences():
@@ -216,16 +216,16 @@ def test_masks_match_brute_force_on_random_long_sequences():
                 items.append(rng.randrange(50))
         seq = insert_media_tokens(items, media_len=media_len)
         s_img, pad_len = rng.randint(1, 5), rng.randint(1, 3)
-        assert build_cross_mask_image(seq, s_img, pad_len).allow == image_mask_oracle(
+        assert build_cross_mask_image(seq, s_img, pad_len) == image_mask_oracle(
             seq, s_img, pad_len
         )
-        assert build_cross_mask_video(seq, s_img, pad_len).allow == video_mask_oracle(
+        assert build_cross_mask_video(seq, s_img, pad_len) == video_mask_oracle(
             seq, s_img, pad_len
         )
 
 
 def test_mask_config_errors():
-    seq = InterleavedSequence([Text(0)], media_len=1, num_images=0)
+    seq = InterleavedSequence([Text(0)], media_len=1)
     with pytest.raises(ConfigError):
         build_cross_mask_image(seq, s_img=0, pad_len=1)
     with pytest.raises(ConfigError):
@@ -233,7 +233,7 @@ def test_mask_config_errors():
 
 
 def test_self_mask_causal():
-    seq = InterleavedSequence([Text(0)], media_len=1, num_images=0)
+    seq = InterleavedSequence([Text(0)], media_len=1)
     assert build_self_mask(seq) == [[True]]
     seq3 = insert_media_tokens([ImageMarker(0), 1, 2], media_len=1)
     mask = build_self_mask(seq3)
@@ -244,9 +244,9 @@ def test_self_mask_causal():
 
 
 def test_mask_dump_format():
-    seq = InterleavedSequence([MediaSlot(0, 0), Text(9)], media_len=1, num_images=1)
+    seq = InterleavedSequence([MediaSlot(0, 0), Text(9)], media_len=1)
     mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
-    dump = format_mask_dump(mask.allow, mask.pad_len, "image")
+    dump = format_mask_dump(mask, 1, "image")
     assert dump == "2 3 1 image\n110\n111\n"
 
 
@@ -338,7 +338,7 @@ def test_forward_matches_loop_oracle():
     p = {n: rows_of(t) for n, t in layer.params.items()}
     p["alpha_attn"] = layer.params["alpha_attn"].item()
     p["alpha_ffn"] = layer.params["alpha_ffn"].item()
-    want = xattn_oracle(rows_of(hidden), kv_rows, mask.allow, p, layer.params["wq"].cols)
+    want = xattn_oracle(rows_of(hidden), kv_rows, mask, p, layer.params["wq"].cols)
     assert out.shape == (3, 4)
     worst = max(abs(a - b) for gr, wr in zip(rows_of(out), want) for a, b in zip(gr, wr))
     assert worst < 1e-10
@@ -374,6 +374,8 @@ def test_mask_kv_mismatch_rejected():
     mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
     with pytest.raises(DimensionError):
         xattn(layer, Tensor.zeros(2, 4), Tensor.zeros(5, 3), mask)
+    with pytest.raises(DimensionError, match="query positions"):  # one mask row fewer than hidden rows
+        xattn(layer, Tensor.zeros(2, 4), Tensor.zeros(3, 3), mask[:1])
 
 
 def test_layer_grad_check():

@@ -99,7 +99,7 @@ def test_no_images_reduces_to_text_decoder():
     text_only = decoder_only_logits(model, seq)
     assert fused.data == text_only.data
     mask = build_cross_mask_image(seq, model.cfg.encoder.patch_count, model.cfg.pad_len)
-    assert all(row == [True] * model.cfg.pad_len for row in mask.allow)
+    assert all(row == [True] * model.cfg.pad_len for row in mask)
 
 
 def test_single_image_video_and_image_modes_agree():
