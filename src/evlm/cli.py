@@ -244,10 +244,11 @@ def cmd_upcycle_check(args) -> int:
         for r in range(cfg.n_replicas):
             total = [0.0] * args.width
             for seg in range(cfg.segments):
-                out = bank.experts[r * cfg.segments + seg].apply(x)
+                e = f"expert{r * cfg.segments + seg}"
+                out = DenseFFN(bank[f"{e}.w_in"], bank[f"{e}.w_out"]).apply(x)
                 total = [a + b for a, b in zip(total, out.data)]
             worst = max(worst, max(abs(a - b) for a, b in zip(total, want.data)))
-        world = bank.world.apply(x)
+        world = DenseFFN(bank["world.w_in"], bank["world.w_out"]).apply(x)
         worst = max(worst, max(abs(a - b) for a, b in zip(world.data, want.data)))
     print(f"replicas={cfg.n_replicas}")
     print(f"segments={cfg.segments}")

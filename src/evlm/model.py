@@ -25,7 +25,7 @@ from .fusion import (
     insert_media_tokens,
 )
 from .layers import block, block_params
-from .moe import DenseFFN, ExpertBank, MoEConfig, RoutingStats, aux_loss_node, moe_forward_nodes, upcycle
+from .moe import DenseFFN, MoEConfig, RoutingStats, aux_loss_node, moe_forward_nodes, upcycle
 from .numerics import Graph, Init, Node, Tensor, derive_seed, seeded_init, zeros_init
 from .vision import EncoderConfig, VisionEncoder, assign_taps_to_xattn
 
@@ -195,22 +195,19 @@ class FusedModel:
 
         # one gated cross-attention layer before every decoder layer
         self.xattn_layers: list[GatedXAttn] = []
-        self.banks: list[ExpertBank] | None = [] if cfg.moe is not None else None
         for t in range(cfg.llm_layers):
             layer = GatedXAttn(
                 h, cfg.encoder.feature_dim, cfg.r_xc, cfg.r_xf, seed, prefix=f"xattn.{t}", init=init
             )
             self.xattn_layers.append(layer)
-            bank_items = []
+            bank = {}
             if cfg.moe is not None:
                 # the dense FFN is consumed by upcycling; the bank replaces it
                 bank = upcycle(DenseFFN(layer.params.pop("ffn.w_in"), layer.params.pop("ffn.w_out")), cfg.moe)
-                self.banks.append(bank)
-                bank_items = bank.param_items(prefix=f"xattn.{t}.moe")
             for name, t_param in layer.params.items():
                 reg(f"xattn.{t}.{name}", t_param, "xattn")
-            for name, t_param in bank_items:
-                reg(name, t_param, "moe")
+            for name, t_param in bank.items():
+                reg(f"xattn.{t}.moe.{name}", t_param, "moe")
 
         self.params = params
         self.group_of = group_of
@@ -315,13 +312,12 @@ class FusedModel:
             prefix = f"xattn.{t}."
             lnodes = {name: nodes[prefix + name] for name in layer.params}
             ffn_branch = None
-            if self.banks is not None:
-                bank = self.banks[t]
+            if cfg.moe is not None:
                 stats = None
                 if moe_stats is not None:  # shared across samples in one graph
-                    stats = moe_stats.setdefault(t, RoutingStats(bank.cfg.num_experts))
+                    stats = moe_stats.setdefault(t, RoutingStats(cfg.moe.num_experts))
                 ffn_branch = functools.partial(
-                    moe_forward_nodes, g, bank=bank, nodes=nodes, prefix=prefix + "moe", stats=stats
+                    moe_forward_nodes, g, cfg=cfg.moe, nodes=nodes, prefix=prefix + "moe", stats=stats
                 )
             x = layer.forward_nodes(g, x, kvs[self.tap_assignment[t]], cross_mask, lnodes, ffn_branch=ffn_branch)
             x = block(g, x, nodes, f"llm.block{t}.", cfg.heads, self_mask)
@@ -386,7 +382,7 @@ class FusedModel:
         batch goes through one encode_images call (with frozen_blocks), so
         the kept frozen-prefix entries cover the whole batch."""
         total: Node | None = None
-        moe_stats: dict[int, RoutingStats] | None = {} if self.banks is not None else None
+        moe_stats: dict[int, RoutingStats] | None = {} if self.cfg.moe is not None else None
         if taps_precomputed:
             taps = [[[g.constant(t) for t in img_taps] for img_taps in imgs] for _, imgs in batch]
         else:

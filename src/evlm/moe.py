@@ -1,10 +1,12 @@
 """Fine-grained Mixture-of-Experts built by upcycling a dense FFN: replicate
 the FFN N times, slice each replica's hidden units into M narrow experts, and
 add an always-on full-width world expert. Routing is token-choice top-k with
-softmax-renormalized gates."""
+softmax-renormalized gates. The bank is upcycle's named tensors, which the
+model's parameter table owns and moe_forward_nodes reads under a prefix."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -26,8 +28,8 @@ class MoEConfig:
             raise ConfigError("n_replicas and segments must be >= 1")
         if not 1 <= self.top_k <= self.n_replicas * self.segments:
             raise ConfigError(f"top_k must be in [1, {self.n_replicas * self.segments}]")
-        if self.aux_loss_weight < 0:
-            raise ConfigError("aux_loss_weight must be >= 0")
+        if not math.isfinite(self.aux_loss_weight) or self.aux_loss_weight < 0:
+            raise ConfigError("aux_loss_weight must be finite and >= 0")
 
     @property
     def num_experts(self) -> int:
@@ -75,32 +77,12 @@ class RoutingStats:
             self.prob_sums = [0.0] * self.num_experts
 
 
-@dataclass
-class ExpertBank:
-    """N*M slice-experts plus the world expert and the routing layer.
-
-    At initialization expert (r, m) is the m-th hidden slice of replica r of
-    the dense FFN, so summing one replica's experts reproduces the dense
-    output, and the world expert is a verbatim copy.
-    """
-
-    cfg: MoEConfig
-    experts: list[DenseFFN]  # index r * segments + m
-    world: DenseFFN
-    router: Tensor  # (h, N*M), zero-initialized
-
-    def param_items(self, prefix: str = "moe") -> list[tuple[str, Tensor]]:
-        items: list[tuple[str, Tensor]] = [(f"{prefix}.router", self.router)]
-        for i, e in enumerate(self.experts):
-            items.append((f"{prefix}.expert{i}.w_in", e.w_in))
-            items.append((f"{prefix}.expert{i}.w_out", e.w_out))
-        items.append((f"{prefix}.world.w_in", self.world.w_in))
-        items.append((f"{prefix}.world.w_out", self.world.w_out))
-        return items
-
-
-def upcycle(dense: DenseFFN, cfg: MoEConfig) -> ExpertBank:
-    """Replicate-and-segment the dense FFN into an expert bank.
+def upcycle(dense: DenseFFN, cfg: MoEConfig) -> dict[str, Tensor]:
+    """Replicate-and-segment the dense FFN into the bank's parameters, by
+    the names moe_forward_nodes reads under its prefix: `router` (h, N*M),
+    zero-initialized; `expert<i>.w_in` and `expert<i>.w_out` for
+    i = r * segments + m, the m-th hidden slice of replica r; and
+    `world.w_in` and `world.w_out`, a verbatim copy of the dense FFN.
 
     Slicing along the hidden dimension is the unique split with the exact
     slice-sum identity sum_m expert_(r,m)(x) == dense(x).
@@ -109,23 +91,19 @@ def upcycle(dense: DenseFFN, cfg: MoEConfig) -> ExpertBank:
     if hidden % cfg.segments != 0:
         raise ConfigError(f"segments={cfg.segments} does not divide hidden width {hidden}")
     sw = hidden // cfg.segments
-    experts: list[DenseFFN] = []
-    for _r in range(cfg.n_replicas):
+    bank = {"router": Tensor.zeros(h, cfg.num_experts)}
+    for r in range(cfg.n_replicas):
         for m in range(cfg.segments):
             lo, hi = m * sw, (m + 1) * sw
-            w_in = Tensor(
+            e = f"expert{r * cfg.segments + m}"
+            bank[f"{e}.w_in"] = Tensor(
                 (h, sw),
                 [dense.w_in.data[i * hidden + j] for i in range(h) for j in range(lo, hi)],
                 check=False,
             )
-            w_out = Tensor((sw, h), dense.w_out.data[lo * h : hi * h].copy(), check=False)
-            experts.append(DenseFFN(w_in, w_out))
-    return ExpertBank(
-        cfg=cfg,
-        experts=experts,
-        world=DenseFFN(dense.w_in.copy(), dense.w_out.copy()),
-        router=Tensor.zeros(h, cfg.num_experts),
-    )
+            bank[f"{e}.w_out"] = Tensor((sw, h), dense.w_out.data[lo * h : hi * h].copy(), check=False)
+    bank["world.w_in"], bank["world.w_out"] = dense.w_in.copy(), dense.w_out.copy()
+    return bank
 
 
 def top_k(logits: Sequence[float], k: int) -> list[int]:
@@ -146,24 +124,26 @@ def route_nodes(g: Graph, logits: Node, k: int) -> tuple[list[list[int]], Node]:
     return chosen, g.softmax_masked(logits, [[e in c for e in range(n_exp)] for c in chosen])
 
 
-def route(x: Tensor, bank: ExpertBank) -> tuple[list[int], list[float]]:
-    """route_nodes for one token: its expert indices and their gates."""
-    if x.shape != (1, bank.router.shape[0]):
-        raise DimensionError(f"route expects (1, {bank.router.shape[0]}), got {x.shape}")
+def route(x: Tensor, router: Tensor, k: int) -> tuple[list[int], list[float]]:
+    """route_nodes for one token under the router (h, N*M): its k expert
+    indices and their gates."""
+    if x.shape != (1, router.shape[0]):
+        raise DimensionError(f"route expects (1, {router.shape[0]}), got {x.shape}")
     g = Graph()
-    (chosen,), gates = route_nodes(g, g.matmul(g.param(x), g.param(bank.router)), bank.cfg.top_k)
+    (chosen,), gates = route_nodes(g, g.matmul(g.param(x), g.param(router)), k)
     return chosen, [gates.t.data[e] for e in chosen]
 
 
 def moe_forward_nodes(
     g: Graph,
     x: Node,
-    bank: ExpertBank,
+    cfg: MoEConfig,
     nodes: Mapping[str, Node],
     prefix: str = "moe",
     stats: RoutingStats | None = None,
 ) -> Node:
-    """Per token: world(x) + sum over top-k of gate_i * expert_i(x).
+    """Per token: world(x) + sum over top-k of gate_i * expert_i(x), reading
+    upcycle's names from nodes as f"{prefix}.{name}".
 
     Differentiable through the selected gates and every active expert; the
     hard selection itself is treated as locally constant.
@@ -180,13 +160,13 @@ def moe_forward_nodes(
     order router, experts by ascending index, world, so each token's input
     gradient sums world, chosen experts highest first, router.
     """
-    cfg = bank.cfg
     n_tok, h = x.t.shape
-    if h != bank.router.shape[0]:
-        raise DimensionError(f"token width {h} != router input {bank.router.shape[0]}")
+    router = nodes[f"{prefix}.router"]
+    if h != router.t.rows:
+        raise DimensionError(f"token width {h} != router input {router.t.rows}")
     k, n_exp = cfg.top_k, cfg.num_experts
     xs = g.rows([x])
-    logits = g.matmul_rows(xs, nodes[f"{prefix}.router"])  # (n_tok, N*M)
+    logits = g.matmul_rows(xs, router)  # (n_tok, N*M)
     chosen, gates = route_nodes(g, logits, k)
     members: list[list[int]] = [[] for _ in range(n_exp)]  # tokens by expert
     for t, experts in enumerate(chosen):

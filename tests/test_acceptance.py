@@ -121,11 +121,12 @@ def test_criterion_2_upcycling_identities():
                 for r in range(n):
                     total = [0.0] * 6
                     for seg in range(m):
-                        out = bank.experts[r * m + seg].apply(x)
+                        e = f"expert{r * m + seg}"
+                        out = DenseFFN(bank[f"{e}.w_in"], bank[f"{e}.w_out"]).apply(x)
                         total = [a + b for a, b in zip(total, out.data)]
                     worst = max(abs(a - b) for a, b in zip(total, want))
                     assert worst <= 1e-12, f"slice-sum ({n},{m}) replica {r}: {worst}"
-                world = bank.world.apply(x).data
+                world = DenseFFN(bank["world.w_in"], bank["world.w_out"]).apply(x).data
                 assert max(abs(a - b) for a, b in zip(world, want)) <= 1e-12
 
 
@@ -336,17 +337,18 @@ def test_criterion_5_gradient_checks():
 
         # (b) moe_forward including the router, every coordinate
         dense = DenseFFN.init(h=4, hidden=4, seed=51)
-        bank = upcycle(dense, MoEConfig(n_replicas=2, segments=2, top_k=2))
-        bank.router = Tensor.randn((4, 4), derive_seed(51, "router"), 0.8)
+        moe_cfg = MoEConfig(n_replicas=2, segments=2, top_k=2)
+        bank = upcycle(dense, moe_cfg)
+        bank["router"] = Tensor.randn((4, 4), derive_seed(51, "router"), 0.8)
         x = Tensor.randn((2, 4), derive_seed(51, "x"))
-        bank_names = [n for n, _ in bank.param_items()]
+        bank_names = [f"moe.{n}" for n in bank]
 
         def build_moe(g, nodes):
             pnodes = dict(zip(bank_names, nodes[1:]))
-            out = moe_forward_nodes(g, nodes[0], bank, pnodes)
+            out = moe_forward_nodes(g, nodes[0], moe_cfg, pnodes)
             return dot(g, out, g.tanh(out))
 
-        err_b = grad_check(build_moe, [x] + [t for _, t in bank.param_items()])
+        err_b = grad_check(build_moe, [x] + list(bank.values()))
         assert err_b < 1e-4, f"moe grad err {err_b}"
 
         # (c) full 2-layer fused model loss, every coordinate

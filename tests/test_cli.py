@@ -354,8 +354,13 @@ def test_config_flag_other_than_0_or_1_rejected(tmp_path, section):
 
 @pytest.mark.parametrize(
     "section",
-    ["[moe]\nenabled = 0\ntop_k = abc\n", "[moe]\nenabled = 0\nn_replicas = -3\n", "[moe]\ntop_k = 99\n"],
-    ids=["top_k_not_int", "n_replicas_negative", "top_k_above_experts_without_enabled"],
+    [
+        "[moe]\nenabled = 0\ntop_k = abc\n",
+        "[moe]\nenabled = 0\nn_replicas = -3\n",
+        "[moe]\ntop_k = 99\n",
+        "[moe]\nenabled = 0\naux_loss_weight = nan\n",
+    ],
+    ids=["top_k_not_int", "n_replicas_negative", "top_k_above_experts_without_enabled", "aux_loss_weight_nan"],
 )
 def test_moe_section_is_validated_when_not_enabled(tmp_path, section):
     cfg = tmp_path / "moe.cfg"
