@@ -81,8 +81,9 @@ def upcycle(dense: DenseFFN, cfg: MoEConfig) -> dict[str, Tensor]:
     """Replicate-and-segment the dense FFN into the bank's parameters, by
     the names moe_forward_nodes reads under its prefix: `router` (h, N*M),
     zero-initialized; `expert<i>.w_in` and `expert<i>.w_out` for
-    i = r * segments + m, the m-th hidden slice of replica r; and
-    `world.w_in` and `world.w_out`, a verbatim copy of the dense FFN.
+    i = r * segments + m, the m-th hidden slice of replica r; and, when
+    cfg.use_world_expert is set, `world.w_in` and `world.w_out`, a verbatim
+    copy of the dense FFN.
 
     Slicing along the hidden dimension is the unique split with the exact
     slice-sum identity sum_m expert_(r,m)(x) == dense(x).
@@ -102,7 +103,8 @@ def upcycle(dense: DenseFFN, cfg: MoEConfig) -> dict[str, Tensor]:
                 check=False,
             )
             bank[f"{e}.w_out"] = Tensor((sw, h), dense.w_out.data[lo * h : hi * h].copy(), check=False)
-    bank["world.w_in"], bank["world.w_out"] = dense.w_in.copy(), dense.w_out.copy()
+    if cfg.use_world_expert:
+        bank["world.w_in"], bank["world.w_out"] = dense.w_in.copy(), dense.w_out.copy()
     return bank
 
 

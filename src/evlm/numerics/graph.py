@@ -11,10 +11,10 @@ gradient as it passes, so afterwards the graph keeps leaf gradients only.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 from math import isfinite
 from operator import add as _opadd, mul as _opmul
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..errors import ContractViolationError, DimensionError, NonFiniteError
 from .tensor import Tensor
@@ -27,9 +27,36 @@ BoolMatrix = list[list[bool]]
 
 # -- raw data kernels (no graph bookkeeping) ------------------------------
 
+RowPairs = Iterable[tuple[Sequence[float], Sequence[float]]]
+
+# Dot products of up to _DOT_CAP terms run as one compiled expression per
+# length; compile time grows with the length (CPython 3.11 raises
+# RecursionError compiling a 5,000-term chain), so longer ones call sum().
+_DOT_CAP = 128
+_DOT_EXPRS: dict[int, Callable[[RowPairs], list[float]]] = {}
+
+
+def dots(k: int, pairs: RowPairs) -> list[float]:
+    """The dot product of each pair of length-k rows, each equal bit for bit
+    to sum(map(mul, r, c)): the k products added one at a time, left to
+    right, to a sum that starts at 0 (so a lone -0.0 product gives 0.0).
+
+    Up to _DOT_CAP terms that sum is the straight-line expression
+    0.0 + r[0]*c[0] + ... + r[k-1]*c[k-1], the same IEEE double operations
+    in the same order, without a map object and a sum() call per dot. Its
+    source is built from k alone and compiled once per k."""
+    if not 0 < k <= _DOT_CAP:
+        return [sum(map(_opmul, r, c)) for r, c in pairs]
+    expr = _DOT_EXPRS.get(k)
+    if expr is None:
+        terms = " + ".join(f"r[{i}] * c[{i}]" for i in range(k))
+        expr = _DOT_EXPRS[k] = eval(f"lambda pairs: [0.0 + {terms} for r, c in pairs]")
+    return expr(pairs)
+
 
 def mm_data(a: list[float], m: int, k: int, b: list[float], n: int) -> list[float]:
-    """Row-major (m,k) @ (k,n). Column extraction once, then zip-dot rows.
+    """Row-major (m,k) @ (k,n): each entry the dots() product of a row of a
+    and a column of b, so sums add left to right from 0 (see dots).
 
     With k == 1 every entry is a one-term dot product: the outer product,
     where 0.0 + x * y is exactly sum([x * y]) (sum starts from 0, which turns
@@ -38,13 +65,7 @@ def mm_data(a: list[float], m: int, k: int, b: list[float], n: int) -> list[floa
         raise DimensionError(f"mm_data operands hold {len(a)}, {len(b)} values, not {m}*{k}, {k}*{n}")
     if k == 1:
         return [0.0 + x * y for x in a for y in b]
-    bt = [b[j::n] for j in range(n)]
-    out: list[float] = []
-    ext = out.extend
-    for i in range(m):
-        row = a[i * k : (i + 1) * k]
-        ext([sum(map(_opmul, row, col)) for col in bt])
-    return out
+    return dots(k, product([a[i * k : (i + 1) * k] for i in range(m)], [b[j::n] for j in range(n)]))
 
 
 def mm_abt_data(a: list[float], m: int, n: int, b: list[float], p: int) -> list[float]:
@@ -52,12 +73,7 @@ def mm_abt_data(a: list[float], m: int, n: int, b: list[float], p: int) -> list[
     if len(a) != m * n or len(b) != p * n:
         raise DimensionError(f"mm_abt_data operands hold {len(a)}, {len(b)} values, not {m}*{n}, {p}*{n}")
     brows = [b[q * n : (q + 1) * n] for q in range(p)]
-    out: list[float] = []
-    ext = out.extend
-    for i in range(m):
-        row = a[i * n : (i + 1) * n]
-        ext([sum(map(_opmul, row, br)) for br in brows])
-    return out
+    return dots(n, product([a[i * n : (i + 1) * n] for i in range(m)], brows))
 
 
 def transpose_data(d: list[float], m: int, n: int) -> list[float]:
@@ -220,7 +236,7 @@ class Graph:
 
         def bwd(g: list[float], acc) -> None:
             acc(ai, [sv * gv for r, sv in enumerate(sd) for gv in g[r * w : (r + 1) * w]])
-            acc(si, [sum(map(_opmul, g[r * w : (r + 1) * w], ad[r * w : (r + 1) * w])) for r in range(rows)])
+            acc(si, dots(w, [(g[r * w : (r + 1) * w], ad[r * w : (r + 1) * w]) for r in range(rows)]))
 
         return self._out(a.t.shape, out, bwd)
 
@@ -341,7 +357,7 @@ class Graph:
                 inv = inv_sigmas[i]
                 gg = [gv * gm for gv, gm in zip(grow, gd)]
                 mean_gg = sum(gg) / d
-                mean_ggh = sum(v * h for v, h in zip(gg, hrow)) / d
+                mean_ggh = dots(d, [(gg, hrow)])[0] / d
                 dx.extend((v - mean_gg - h * mean_ggh) * inv for v, h in zip(gg, hrow))
                 dgain = list(map(_opadd, dgain, map(_opmul, grow, hrow)))
                 dbias = list(map(_opadd, dbias, grow))
@@ -376,12 +392,10 @@ class Graph:
 
         def bwd(g: list[float], acc) -> None:
             # dL/ds = p * (g - sum(g*p)); masked entries have p == 0.
+            grows = [g[i * k : (i + 1) * k] for i in range(q)]
+            prows = [out[i * k : (i + 1) * k] for i in range(q)]
             ds: list[float] = []
-            for i in range(q):
-                off = i * k
-                prow = out[off : off + k]
-                grow = g[off : off + k]
-                dot = sum(map(_opmul, grow, prow))
+            for prow, grow, dot in zip(prows, grows, dots(k, zip(grows, prows))):
                 ds.extend(p * (gv - dot) for p, gv in zip(prow, grow))
             acc(si, ds)
 

@@ -31,6 +31,7 @@ from evlm.model import (
 from evlm.moe import MoEConfig
 from evlm.numerics import Graph, Node, Tensor, derive_seed, grad_check
 from evlm.vision import EncoderConfig
+from test_moe import RecordingNodes
 
 
 def tiny_config(**overrides):
@@ -272,6 +273,28 @@ def test_groups_partition_all_parameters():
     assert sorted(names) == sorted(model.params)
     for g in ("llm", "xattn", "vit_front", "vit_back_half", "vit_last_quarter", "media_tokens", "moe"):
         assert groups[g], f"group {g} unexpectedly empty"
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("mode", ["image", "video"])
+@pytest.mark.parametrize(
+    "moe",
+    [
+        None,
+        MoEConfig(n_replicas=2, segments=2, top_k=4),
+        MoEConfig(n_replicas=2, segments=2, top_k=4, use_world_expert=False),
+    ],
+    ids=["dense", "moe-world", "moe-no-world"],
+)
+def test_one_forward_reads_every_parameter_and_no_other_name(moe, mode, heads):
+    # top_k = N*M makes every expert active; a parameter no forward reads is
+    # trained at zero gradient and written into every checkpoint
+    model = FusedModel(tiny_config(mask_mode=mode, moe=moe, heads=heads), seed=21)
+    seq = insert_media_tokens([1, ImageMarker(0), 4, 7, ImageMarker(1), 2, 9], media_len=model.cfg.media_len)
+    g = Graph()
+    nodes = RecordingNodes(model.param_nodes(g))
+    model.forward_nodes(g, seq, model.encode_images(g, rand_images(model, 2, 23), nodes), nodes)
+    assert nodes.asked == set(model.params)
 
 
 @pytest.mark.parametrize(

@@ -285,8 +285,9 @@ class RecordingNodes(dict):
         return super().__getitem__(key)
 
 
-def test_forward_reads_exactly_the_names_upcycle_returns():
-    cfg = MoEConfig(n_replicas=2, segments=2, top_k=4, use_world_expert=True)  # every expert active
+@pytest.mark.parametrize("use_world_expert", [True, False])
+def test_forward_reads_exactly_the_names_upcycle_returns(use_world_expert):
+    cfg = MoEConfig(n_replicas=2, segments=2, top_k=4, use_world_expert=use_world_expert)  # every expert active
     bank = random_bank(cfg, "random")
     g = Graph()
     nodes = RecordingNodes({n: g.param(t) for n, t in param_items(bank)})

@@ -13,7 +13,7 @@ import pytest
 import evlm
 from evlm.errors import ContractViolationError, DimensionError, NonFiniteError
 from evlm.numerics import Graph, Tensor, derive_seed, grad_check
-from evlm.numerics.graph import mm_abt_data, mm_data
+from evlm.numerics.graph import _DOT_CAP, mm_abt_data, mm_data
 
 
 # -- oracles ----------------------------------------------------------------
@@ -106,7 +106,7 @@ def test_matmul_randomized_shapes_vs_oracle():
 
 
 def general_mm_data(a, m, k, b, n):
-    """mm_data's loop for every inner dimension: the reference for its k == 1 path."""
+    """mm_data with one sum() per entry: the reference for its dot products."""
     bt = [b[j::n] for j in range(n)]
     out = []
     for i in range(m):
@@ -115,14 +115,34 @@ def general_mm_data(a, m, k, b, n):
     return out
 
 
-def test_mm_data_inner_dimension_one_is_bit_identical_to_the_general_loop():
-    rng = random.Random(5)
+def general_mm_abt_data(a, m, n, b, p):
+    """mm_abt_data with one sum() per entry: the reference for its dot products."""
+    brows = [b[q * n : (q + 1) * n] for q in range(p)]
+    out = []
+    for i in range(m):
+        row = a[i * n : (i + 1) * n]
+        out.extend([sum(map(mul, row, br)) for br in brows])
+    return out
+
+
+# past _DOT_CAP dots() calls sum(); a 5,000-term chain would not even compile (RecursionError)
+@pytest.mark.parametrize("k", [1, 2, 3, 16, 64, _DOT_CAP, _DOT_CAP + 1, 5000])
+@pytest.mark.parametrize(
+    "kernel,reference",
+    [(mm_data, general_mm_data), (mm_abt_data, general_mm_abt_data)],
+    ids=["mm_data", "mm_abt_data"],
+)
+def test_matmul_kernels_are_bit_identical_to_one_sum_per_entry(kernel, reference, k):
+    rng = random.Random(k)
     pool = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e150, -1e-300]
-    for _ in range(200):
+
+    def draw(count):
+        return [rng.choice(pool) if rng.random() < 0.4 else rng.uniform(-3, 3) for _ in range(count)]
+
+    for _ in range(max(4, min(200, 20_000 // k))):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
-        a = [rng.choice(pool) if rng.random() < 0.4 else rng.uniform(-3, 3) for _ in range(m)]
-        b = [rng.choice(pool) if rng.random() < 0.4 else rng.uniform(-3, 3) for _ in range(n)]
-        got, want = mm_data(a, m, 1, b, n), general_mm_data(a, m, 1, b, n)
+        a, b = draw(m * k), draw(k * n)
+        got, want = kernel(a, m, k, b, n), reference(a, m, k, b, n)
         assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
 
 
@@ -527,9 +547,11 @@ def test_derive_seed_pinned_value():
 
 
 def test_float_sum_adds_left_to_right():
-    # every kernel dot product is sum(map(mul, ...)); the bit-exact pins
-    # (golden logits, gradients, perfbench references) hold only while sum()
-    # adds floats one by one, left to right
+    # the bit-exact pins (golden logits, gradients, perfbench references)
+    # rest on sum() adding floats one by one, left to right: the layer-norm,
+    # softmax and cross-entropy sums and dot products past graph._DOT_CAP
+    # terms call it, and the shorter dot products are compiled chains made
+    # to equal it bit for bit
     assert sum([0.1] * 10) == 0.9999999999999999, (
         "sum() of floats is compensated on this interpreter (CPython 3.12+, "
         "gh-100425), so bit-exact pins no longer hold; evlm requires Python >=3.10,<3.12"
