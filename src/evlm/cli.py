@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import ContractViolationError, EvlmError, NonFiniteError
+from .errors import ConfigError, ContractViolationError, EvlmError, NonFiniteError
 from .flops import (
     FlopsScenario,
     format_report_record,
@@ -24,6 +24,7 @@ from .flops import (
     ratio,
 )
 from .fusion import ImageMarker, build_cross_mask_image, build_cross_mask_video, format_mask_dump, insert_media_tokens
+from .layers import ffn, ffn_params
 from .model import (
     STAGE_TRAINABLE,
     ModelConfig,
@@ -38,8 +39,8 @@ from .model import (
     synthetic_patches,
     train_smoke,
 )
-from .moe import DenseFFN, MoEConfig, upcycle
-from .numerics import Tensor, derive_seed
+from .moe import MoEConfig, upcycle
+from .numerics import Graph, Tensor, derive_seed, seeded_init
 from .vision import EncoderConfig
 
 EXIT_OK = 0
@@ -78,6 +79,8 @@ def load_run_config(path: str) -> RunConfig:
             raise EvlmError(f"cannot read config file {path!r}")
     except configparser.Error as exc:  # its messages can span lines; error output is one
         raise EvlmError(" ".join(str(exc).split())) from exc
+    if parser.defaults():  # configparser would spread its keys over every other section
+        raise EvlmError("unknown config section [DEFAULT]")
     allowed = {
         "run": {"seed"},
         "model": set(config_fields(ModelConfig)),
@@ -235,21 +238,24 @@ def cmd_probe(args) -> int:
 def cmd_upcycle_check(args) -> int:
     cfg = MoEConfig(n_replicas=args.n, segments=args.m, top_k=1)  # routing is irrelevant here
     seed = _resolve_seed(args.seed, 0)
-    dense = DenseFFN.init(args.width, args.hidden, seed)
-    bank = upcycle(dense, cfg)
+    if args.width < 1 or args.hidden < 1:  # the draw takes width**-0.5 and hidden**-0.5
+        raise ConfigError(f"width and hidden size must be >= 1, got {args.width} and {args.hidden}")
+    dense = ffn_params(seeded_init(seed), "ffn.", args.width, args.hidden)
+    bank = upcycle(dense["w_in"], dense["w_out"], cfg)
     worst = 0.0
     for trial in range(100):
-        x = Tensor.randn((1, args.width), derive_seed(seed, f"upcycle.x{trial}"))
-        want = dense.apply(x)
+        g = Graph()
+        x = g.param(Tensor.randn((1, args.width), derive_seed(seed, f"upcycle.x{trial}")))
+        apply = lambda w, name="": ffn(g, x, g.param(w[name + "w_in"]), g.param(w[name + "w_out"])).t.data
+        want = apply(dense)
         for r in range(cfg.n_replicas):
             total = [0.0] * args.width
             for seg in range(cfg.segments):
-                e = f"expert{r * cfg.segments + seg}"
-                out = DenseFFN(bank[f"{e}.w_in"], bank[f"{e}.w_out"]).apply(x)
-                total = [a + b for a, b in zip(total, out.data)]
-            worst = max(worst, max(abs(a - b) for a, b in zip(total, want.data)))
-        world = DenseFFN(bank["world.w_in"], bank["world.w_out"]).apply(x)
-        worst = max(worst, max(abs(a - b) for a, b in zip(world.data, want.data)))
+                out = apply(bank, f"expert{r * cfg.segments + seg}.")
+                total = [a + b for a, b in zip(total, out)]
+            worst = max(worst, max(abs(a - b) for a, b in zip(total, want)))
+        world = apply(bank, "world.")
+        worst = max(worst, max(abs(a - b) for a, b in zip(world, want)))
     print(f"replicas={cfg.n_replicas}")
     print(f"segments={cfg.segments}")
     print(f"width={args.width}")

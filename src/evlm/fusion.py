@@ -8,8 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import ConfigError, DimensionError, SequenceError
-from .layers import attention, ffn
+from .errors import ConfigError, SequenceError
+from .layers import attention, ffn, ffn_params
 from .numerics import Graph, Init, Node, Tensor, seeded_init
 
 
@@ -190,8 +190,7 @@ class GatedXAttn:
             "wk": w("wk", (d_img, a), d_img**-0.5),
             "wv": w("wv", (d_img, a), d_img**-0.5),
             "wo": w("wo", (a, h_llm), a**-0.5),
-            "ffn.w_in": w("ffn.w_in", (h_llm, f), h_llm**-0.5),
-            "ffn.w_out": w("ffn.w_out", (f, h_llm), f**-0.5),
+            **{f"ffn.{n}": t for n, t in ffn_params(init, f"{prefix}.ffn.", h_llm, f).items()},
             "alpha_attn": Tensor.zeros(1, 1),
             "alpha_ffn": Tensor.zeros(1, 1),
         }
@@ -211,13 +210,10 @@ class GatedXAttn:
         """hidden + tanh(a_attn)*XAttn(hidden, kv) then + tanh(a_ffn)*FFN(.).
 
         kv must already carry the pad_len all-zero rows; the mask has one row
-        per hidden row and one column per kv row. ffn_branch swaps in a
-        replacement FFN (the MoE block) while staying behind the same gate.
+        per hidden row and one column per kv row (attention's softmax_masked
+        raises DimensionError otherwise). ffn_branch swaps in a replacement
+        FFN (the MoE block) while staying behind the same gate.
         """
-        if len(mask) != hidden.t.rows:
-            raise DimensionError(f"mask has {len(mask)} rows for {hidden.t.rows} query positions")
-        if len(mask[0]) != kv.t.rows:
-            raise DimensionError(f"mask has {len(mask[0])} columns for {kv.t.rows} key rows")
         attn = attention(g, hidden, kv, nodes["wq"], nodes["wk"], nodes["wv"], nodes["wo"], 1, mask)
         h1 = g.add(hidden, g.smul(attn, g.tanh(nodes["alpha_attn"])))
         if ffn_branch is None:

@@ -1,6 +1,7 @@
 """The masked attention, the pre-norm transformer block and the gelu FFN
 shared by the vision encoder, the decoder, the gated cross-attention layer
-and the MoE experts."""
+and the MoE experts. Every FFN is two tensors, `w_in` and `w_out`, drawn by
+the one weight rule ffn_params and run by ffn."""
 
 from __future__ import annotations
 
@@ -18,15 +19,22 @@ def ffn(g: Graph, x: Node, w_in: Node, w_out: Node, per_row_grads: bool = False)
     return mm(g.gelu(mm(x, w_in)), w_out)
 
 
+def ffn_params(init: Init, name: str, d: int, hidden: int) -> dict[str, Tensor]:
+    """An FFN's `w_in` (d, hidden) and `w_out` (hidden, d), each drawn with
+    std fan_in**-0.5 under the init key `name` + its local name."""
+    return {
+        "w_in": init((d, hidden), name + "w_in", d**-0.5),
+        "w_out": init((hidden, d), name + "w_out", hidden**-0.5),
+    }
+
+
 def block_params(init: Init, name: str, d: int, hidden: int) -> dict[str, Tensor]:
     """One block's parameters by local name; `name` prefixes their init keys."""
     p = {w: init((d, d), name + w, d**-0.5) for w in ("wq", "wk", "wv", "wo")}
     for ln in ("ln1", "ln2"):
         p[ln + ".gain"] = Tensor.full((1, d), 1.0)
         p[ln + ".bias"] = Tensor.zeros(1, d)
-    p["w_in"] = init((d, hidden), name + "w_in", d**-0.5)
-    p["w_out"] = init((hidden, d), name + "w_out", hidden**-0.5)
-    return p
+    return p | ffn_params(init, name, d, hidden)
 
 
 def attention(

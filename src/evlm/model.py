@@ -25,7 +25,7 @@ from .fusion import (
     insert_media_tokens,
 )
 from .layers import block, block_params
-from .moe import DenseFFN, MoEConfig, RoutingStats, aux_loss_node, moe_forward_nodes, upcycle
+from .moe import MoEConfig, RoutingStats, aux_loss_node, moe_forward_nodes, upcycle
 from .numerics import Graph, Init, Node, Tensor, derive_seed, seeded_init, zeros_init
 from .vision import EncoderConfig, VisionEncoder, assign_taps_to_xattn
 
@@ -203,7 +203,7 @@ class FusedModel:
             bank = {}
             if cfg.moe is not None:
                 # the dense FFN is consumed by upcycling; the bank replaces it
-                bank = upcycle(DenseFFN(layer.params.pop("ffn.w_in"), layer.params.pop("ffn.w_out")), cfg.moe)
+                bank = upcycle(layer.params.pop("ffn.w_in"), layer.params.pop("ffn.w_out"), cfg.moe)
             for name, t_param in layer.params.items():
                 reg(f"xattn.{t}.{name}", t_param, "xattn")
             for name, t_param in bank.items():

@@ -1,8 +1,10 @@
-"""Fine-grained Mixture-of-Experts built by upcycling a dense FFN: replicate
-the FFN N times, slice each replica's hidden units into M narrow experts, and
-add an always-on full-width world expert. Routing is token-choice top-k with
-softmax-renormalized gates. The bank is upcycle's named tensors, which the
-model's parameter table owns and moe_forward_nodes reads under a prefix."""
+"""Fine-grained Mixture-of-Experts built by upcycling a dense FFN, the two
+tensors layers.ffn_params draws: replicate the FFN N times, slice each
+replica's hidden units into M narrow experts, and add an always-on
+full-width world expert; every expert runs through layers.ffn. Routing is
+token-choice top-k with softmax-renormalized gates. The bank is upcycle's
+named tensors, which the model's parameter table owns and moe_forward_nodes
+reads under a prefix."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .errors import ConfigError, DimensionError
 from .layers import ffn
-from .numerics import Graph, Node, Tensor, seeded_init
+from .numerics import Graph, Node, Tensor
 
 
 @dataclass(frozen=True)
@@ -37,28 +39,6 @@ class MoEConfig:
 
 
 @dataclass
-class DenseFFN:
-    """Bias-free two-matrix block: expand h -> H, gelu, contract H -> h."""
-
-    w_in: Tensor  # (h, H)
-    w_out: Tensor  # (H, h)
-
-    @classmethod
-    def init(cls, h: int, hidden: int, seed: int) -> "DenseFFN":
-        if h < 1 or hidden < 1:
-            raise ConfigError(f"width and hidden size must be >= 1, got {h} and {hidden}")
-        init = seeded_init(seed)
-        return cls(
-            init((h, hidden), "ffn.w_in", h**-0.5),
-            init((hidden, h), "ffn.w_out", hidden**-0.5),
-        )
-
-    def apply(self, x: Tensor) -> Tensor:
-        g = Graph()
-        return ffn(g, g.param(x), g.param(self.w_in), g.param(self.w_out)).t
-
-
-@dataclass
 class RoutingStats:
     """Plain per-batch record of router behavior (CLI-reportable), plus the
     per-token full-softmax probabilities as graph nodes, which keep the aux
@@ -77,18 +57,18 @@ class RoutingStats:
             self.prob_sums = [0.0] * self.num_experts
 
 
-def upcycle(dense: DenseFFN, cfg: MoEConfig) -> dict[str, Tensor]:
-    """Replicate-and-segment the dense FFN into the bank's parameters, by
-    the names moe_forward_nodes reads under its prefix: `router` (h, N*M),
-    zero-initialized; `expert<i>.w_in` and `expert<i>.w_out` for
-    i = r * segments + m, the m-th hidden slice of replica r; and, when
-    cfg.use_world_expert is set, `world.w_in` and `world.w_out`, a verbatim
-    copy of the dense FFN.
+def upcycle(w_in: Tensor, w_out: Tensor, cfg: MoEConfig) -> dict[str, Tensor]:
+    """Replicate-and-segment the dense FFN w_in (h, H), w_out (H, h) into
+    the bank's parameters, by the names moe_forward_nodes reads under its
+    prefix: `router` (h, N*M), zero-initialized; `expert<i>.w_in` and
+    `expert<i>.w_out` for i = r * segments + m, the m-th hidden slice of
+    replica r; and, when cfg.use_world_expert is set, `world.w_in` and
+    `world.w_out`, a verbatim copy of the dense FFN.
 
     Slicing along the hidden dimension is the unique split with the exact
     slice-sum identity sum_m expert_(r,m)(x) == dense(x).
     """
-    h, hidden = dense.w_in.shape
+    h, hidden = w_in.shape
     if hidden % cfg.segments != 0:
         raise ConfigError(f"segments={cfg.segments} does not divide hidden width {hidden}")
     sw = hidden // cfg.segments
@@ -99,12 +79,12 @@ def upcycle(dense: DenseFFN, cfg: MoEConfig) -> dict[str, Tensor]:
             e = f"expert{r * cfg.segments + m}"
             bank[f"{e}.w_in"] = Tensor(
                 (h, sw),
-                [dense.w_in.data[i * hidden + j] for i in range(h) for j in range(lo, hi)],
+                [w_in.data[i * hidden + j] for i in range(h) for j in range(lo, hi)],
                 check=False,
             )
-            bank[f"{e}.w_out"] = Tensor((sw, h), dense.w_out.data[lo * h : hi * h].copy(), check=False)
+            bank[f"{e}.w_out"] = Tensor((sw, h), w_out.data[lo * h : hi * h].copy(), check=False)
     if cfg.use_world_expert:
-        bank["world.w_in"], bank["world.w_out"] = dense.w_in.copy(), dense.w_out.copy()
+        bank["world.w_in"], bank["world.w_out"] = w_in.copy(), w_out.copy()
     return bank
 
 

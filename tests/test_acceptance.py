@@ -9,7 +9,6 @@ frames, image-mode text sees only the pad block).
 """
 
 import contextlib
-import os
 import random
 import subprocess
 import sys
@@ -43,13 +42,13 @@ from evlm.model import (
     synthetic_patches,
     train_smoke,
 )
-from evlm.moe import DenseFFN, MoEConfig, moe_forward_nodes, upcycle
+from evlm.moe import MoEConfig, moe_forward_nodes, upcycle
 from evlm.numerics import Tensor, derive_seed, grad_check
 from evlm.vision import EncoderConfig
+from test_cli import cli_env
 from test_model import decoder_only_logits
+from test_moe import apply_ffn, make_dense
 from test_numerics import dot
-
-SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 @contextlib.contextmanager
@@ -113,20 +112,20 @@ def test_criterion_2_upcycling_identities():
     with criterion(2, "MoE upcycling identities", 10):
         for n, m in [(1, 1), (2, 2), (4, 4)]:
             cfg = MoEConfig(n_replicas=n, segments=m, top_k=min(4, n * m))
-            dense = DenseFFN.init(h=6, hidden=8, seed=40 + n)
-            bank = upcycle(dense, cfg)
+            dense = make_dense(h=6, hidden=8, seed=40 + n)
+            bank = upcycle(*dense, cfg)
             for trial in range(100):
                 x = Tensor.randn((1, 6), derive_seed(trial, f"x{n}{m}"))
-                want = dense.apply(x).data
+                want = apply_ffn(x, *dense).data
                 for r in range(n):
                     total = [0.0] * 6
                     for seg in range(m):
                         e = f"expert{r * m + seg}"
-                        out = DenseFFN(bank[f"{e}.w_in"], bank[f"{e}.w_out"]).apply(x)
+                        out = apply_ffn(x, bank[f"{e}.w_in"], bank[f"{e}.w_out"])
                         total = [a + b for a, b in zip(total, out.data)]
                     worst = max(abs(a - b) for a, b in zip(total, want))
                     assert worst <= 1e-12, f"slice-sum ({n},{m}) replica {r}: {worst}"
-                world = DenseFFN(bank["world.w_in"], bank["world.w_out"]).apply(x).data
+                world = apply_ffn(x, bank["world.w_in"], bank["world.w_out"]).data
                 assert max(abs(a - b) for a, b in zip(world, want)) <= 1e-12
 
 
@@ -336,9 +335,8 @@ def test_criterion_5_gradient_checks():
         assert err_a < 1e-4, f"xattn layer grad err {err_a}"
 
         # (b) moe_forward including the router, every coordinate
-        dense = DenseFFN.init(h=4, hidden=4, seed=51)
         moe_cfg = MoEConfig(n_replicas=2, segments=2, top_k=2)
-        bank = upcycle(dense, moe_cfg)
+        bank = upcycle(*make_dense(h=4, hidden=4, seed=51), moe_cfg)
         bank["router"] = Tensor.randn((4, 4), derive_seed(51, "router"), 0.8)
         x = Tensor.randn((2, 4), derive_seed(51, "x"))
         bank_names = [f"moe.{n}" for n in bank]
@@ -444,7 +442,7 @@ def _run_cli(*args):
         [sys.executable, "-m", "evlm.cli", *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=SRC),
+        env=cli_env(),
         timeout=300,
     )
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, record parsing, byte determinism."""
 
 import contextlib
+import hashlib
 import io
 import os
 import random
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 from evlm import cli
+from evlm.errors import EvlmError
 from evlm.model import save_checkpoint, smoke_config, train_smoke
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -41,10 +43,18 @@ per_class = 1
 """
 
 
-def run_cli(*args, env_extra=None):
+def cli_env(env_extra=None):
+    """The environment for a CLI subprocess: this one's, with PYTHONPATH set
+    and without an EVLM_SEED exported in the shell (it would override the
+    seeds the tests expect), plus env_extra."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    if env_extra:
-        env.update(env_extra)
+    env.pop("EVLM_SEED", None)
+    env.update(env_extra or {})
+    return env
+
+
+def run_cli(*args, env_extra=None):
+    env = cli_env(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "evlm.cli", *args],
         capture_output=True,
@@ -280,6 +290,15 @@ def test_upcycle_check_passes():
     assert rec["ok"] == "1"
 
 
+def test_upcycle_check_output_bytes_are_pinned():
+    out = run_cli("upcycle-check", "--n", "4", "--m", "4", "--width", "8", "--hidden", "16", "--seed", "0")
+    assert out.returncode == 0
+    assert parse_record(out.stdout)["max_deviation"] == "4.440892098500626e-16"
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
+        "ca2f1ec34bf711722693fb3a0ce351e48e994e25f8c7cc21413f996076b466e1"
+    )
+
+
 def test_upcycle_check_degenerate_exact():
     out = run_cli("upcycle-check", "--n", "1", "--m", "1", "--width", "4", "--hidden", "4")
     assert out.returncode == 0
@@ -377,6 +396,19 @@ def test_valid_moe_section_without_enabled_keeps_the_model_dense(tmp_path):
     cfg = tmp_path / "dense.cfg"
     cfg.write_text(TINY_CONFIG + "[moe]\nenabled = 0\ntop_k = 2\n")
     assert load_run_config(str(cfg)).model.moe is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[DEFAULT]\nsteps = 1\nbogus = 7\n", "[DEFAULT]\nsteps = 1\n\n[train]\nclasses = 2\n"],
+    ids=["alone", "beside_train"],
+)
+def test_default_section_is_rejected(tmp_path, text):
+    # configparser reads [DEFAULT] as keys of every other section, not as a section
+    cfg = tmp_path / "default.cfg"
+    cfg.write_text(text)
+    with pytest.raises(EvlmError, match=r"unknown config section \[DEFAULT\]"):
+        cli.load_run_config(str(cfg))
 
 
 @pytest.mark.parametrize(
@@ -574,7 +606,7 @@ def test_import_and_a_training_step_load_only_stdlib_modules_and_no_openssl():
         [sys.executable, "-c", FOOTPRINT_PROBE],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=SRC),
+        env=cli_env(),
         timeout=300,
     )
     assert done.returncode == 0, done.stderr

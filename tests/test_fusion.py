@@ -374,7 +374,7 @@ def test_mask_kv_mismatch_rejected():
     mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
     with pytest.raises(DimensionError):
         xattn(layer, Tensor.zeros(2, 4), Tensor.zeros(5, 3), mask)
-    with pytest.raises(DimensionError, match="query positions"):  # one mask row fewer than hidden rows
+    with pytest.raises(DimensionError, match="mask shape"):  # one mask row fewer than hidden rows
         xattn(layer, Tensor.zeros(2, 4), Tensor.zeros(3, 3), mask[:1])
 
 

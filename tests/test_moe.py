@@ -7,9 +7,8 @@ import struct
 import pytest
 
 from evlm.errors import ConfigError, DimensionError
-from evlm.layers import ffn
+from evlm.layers import ffn, ffn_params
 from evlm.moe import (
-    DenseFFN,
     MoEConfig,
     RoutingStats,
     aux_load_balance_loss,
@@ -19,12 +18,19 @@ from evlm.moe import (
     top_k,
     upcycle,
 )
-from evlm.numerics import Graph, Tensor, derive_seed, grad_check
+from evlm.numerics import Graph, Tensor, derive_seed, grad_check, seeded_init
 from test_numerics import dot
 
 
 def make_dense(h=6, hidden=8, seed=0):
-    return DenseFFN.init(h, hidden, seed)
+    """A dense FFN's (w_in, w_out), drawn as upcycle-check draws them."""
+    w = ffn_params(seeded_init(seed), "ffn.", h, hidden)
+    return w["w_in"], w["w_out"]
+
+
+def apply_ffn(x, w_in, w_out):
+    g = Graph()
+    return ffn(g, g.param(x), g.param(w_in), g.param(w_out)).t
 
 
 def rand_input(h, seed, rows=1):
@@ -37,8 +43,8 @@ def param_items(bank, prefix="moe"):
 
 
 def expert(bank, name):
-    """The named expert of the bank (`expert<i>` or `world`) as a DenseFFN."""
-    return DenseFFN(bank[f"{name}.w_in"], bank[f"{name}.w_out"])
+    """The named expert of the bank (`expert<i>` or `world`) as its (w_in, w_out)."""
+    return bank[f"{name}.w_in"], bank[f"{name}.w_out"]
 
 
 def expert_names(bank):
@@ -49,15 +55,15 @@ def expert_names(bank):
 
 
 def test_upcycle_degenerate_single_expert():
-    dense = make_dense()
-    bank = upcycle(dense, MoEConfig(n_replicas=1, segments=1, top_k=1))
+    w_in, w_out = make_dense()
+    bank = upcycle(w_in, w_out, MoEConfig(n_replicas=1, segments=1, top_k=1))
     assert len(expert_names(bank)) == 1
-    assert bank["expert0.w_in"].data == dense.w_in.data
-    assert bank["expert0.w_out"].data == dense.w_out.data
+    assert bank["expert0.w_in"].data == w_in.data
+    assert bank["expert0.w_out"].data == w_out.data
 
 
 def test_upcycle_default_config_counts():
-    bank = upcycle(make_dense(h=6, hidden=16), MoEConfig(n_replicas=4, segments=4, top_k=4))
+    bank = upcycle(*make_dense(h=6, hidden=16), MoEConfig(n_replicas=4, segments=4, top_k=4))
     assert len(expert_names(bank)) == 16
     assert all(
         bank[f"expert{i}.w_in"].shape == (6, 4) and bank[f"expert{i}.w_out"].shape == (4, 6) for i in range(16)
@@ -67,49 +73,49 @@ def test_upcycle_default_config_counts():
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (4, 4)])
 def test_upcycle_slice_sum_identity(n, m):
     dense = make_dense(h=5, hidden=8 if m != 4 else 8, seed=3)
-    bank = upcycle(dense, MoEConfig(n_replicas=n, segments=m, top_k=1))
+    bank = upcycle(*dense, MoEConfig(n_replicas=n, segments=m, top_k=1))
     for trial in range(20):
         x = rand_input(5, trial)
-        want = dense.apply(x)
+        want = apply_ffn(x, *dense)
         for r in range(n):
             total = [0.0] * 5
             for seg in range(m):
-                out = expert(bank, f"expert{r * m + seg}").apply(x)
+                out = apply_ffn(x, *expert(bank, f"expert{r * m + seg}"))
                 total = [a + b for a, b in zip(total, out.data)]
             assert max(abs(a - b) for a, b in zip(total, want.data)) < 1e-12
 
 
 def test_upcycle_world_expert_is_dense_copy():
-    dense = make_dense(seed=9)
-    bank = upcycle(dense, MoEConfig())
-    assert bank["world.w_in"].data == dense.w_in.data
-    assert bank["world.w_out"].data == dense.w_out.data
+    w_in, w_out = make_dense(seed=9)
+    bank = upcycle(w_in, w_out, MoEConfig())
+    assert bank["world.w_in"].data == w_in.data
+    assert bank["world.w_out"].data == w_out.data
     x = rand_input(6, 1)
-    assert expert(bank, "world").apply(x).data == dense.apply(x).data  # bit-exact
+    assert apply_ffn(x, *expert(bank, "world")).data == apply_ffn(x, w_in, w_out).data  # bit-exact
 
 
 def test_upcycle_router_zero_init():
-    bank = upcycle(make_dense(), MoEConfig())
+    bank = upcycle(*make_dense(), MoEConfig())
     assert all(v == 0.0 for v in bank["router"].data)
 
 
 def test_upcycle_rejects_indivisible_hidden():
     with pytest.raises(ConfigError):
-        upcycle(make_dense(h=4, hidden=6), MoEConfig(n_replicas=1, segments=4, top_k=1))
+        upcycle(*make_dense(h=4, hidden=6), MoEConfig(n_replicas=1, segments=4, top_k=1))
 
 
 # -- route ------------------------------------------------------------------
 
 
 def test_route_zero_router_ties_break_low():
-    bank = upcycle(make_dense(), MoEConfig(n_replicas=2, segments=2, top_k=3))
+    bank = upcycle(*make_dense(), MoEConfig(n_replicas=2, segments=2, top_k=3))
     idx, gates = route(rand_input(6, 5), bank["router"], 3)
     assert idx == [0, 1, 2]
     assert gates == [1.0 / 3.0] * 3
 
 
 def test_route_full_k_is_full_softmax():
-    bank = upcycle(make_dense(), MoEConfig(n_replicas=2, segments=2, top_k=4))
+    bank = upcycle(*make_dense(), MoEConfig(n_replicas=2, segments=2, top_k=4))
     bank["router"] = Tensor.randn((6, 4), derive_seed(2, "router"))
     x = rand_input(6, 6)
     idx, gates = route(x, bank["router"], 4)
@@ -122,7 +128,7 @@ def test_route_full_k_is_full_softmax():
 
 def test_route_matches_enumeration_oracle():
     rng = random.Random(8)
-    bank = upcycle(make_dense(), MoEConfig(n_replicas=2, segments=2, top_k=2))
+    bank = upcycle(*make_dense(), MoEConfig(n_replicas=2, segments=2, top_k=2))
     for trial in range(30):
         bank["router"] = Tensor.randn((6, 4), derive_seed(trial, "router"))
         x = rand_input(6, trial + 100)
@@ -142,7 +148,7 @@ def test_route_matches_enumeration_oracle():
 
 
 def test_route_deterministic():
-    bank = upcycle(make_dense(), MoEConfig(n_replicas=2, segments=2, top_k=2))
+    bank = upcycle(*make_dense(), MoEConfig(n_replicas=2, segments=2, top_k=2))
     bank["router"] = Tensor.randn((6, 4), derive_seed(0, "router"))
     x = rand_input(6, 0)
     assert route(x, bank["router"], 2) == route(x, bank["router"], 2)
@@ -151,7 +157,7 @@ def test_route_deterministic():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("router", ["zero", "random"])
 def test_route_gates_are_the_softmax_of_the_picked_logits_bit_for_bit(k, router):
-    bank = upcycle(make_dense(), MoEConfig(n_replicas=2, segments=2, top_k=k))
+    bank = upcycle(*make_dense(), MoEConfig(n_replicas=2, segments=2, top_k=k))
     for trial in range(10):
         if router == "random":
             bank["router"] = Tensor.randn((6, 4), derive_seed(trial, "router"))
@@ -175,7 +181,7 @@ def run_moe(x, cfg, bank, stats=None):
 
 def test_route_picks_the_experts_the_forward_pass_counts_per_row():
     cfg = MoEConfig(n_replicas=3, segments=2, top_k=2)
-    bank = upcycle(make_dense(), cfg)
+    bank = upcycle(*make_dense(), cfg)
     bank["router"] = Tensor.randn((6, 6), derive_seed(9, "router"))
     x = Tensor.randn((5, 6), derive_seed(9, "tokens"))
     # the last row ties
@@ -194,37 +200,37 @@ def test_forward_one_replica_selected_equals_scaled_dense():
     # (1/M) * dense(x)
     dense = make_dense(h=4, hidden=8, seed=4)
     cfg = MoEConfig(n_replicas=2, segments=2, top_k=2, use_world_expert=False)
-    bank = upcycle(dense, cfg)
+    bank = upcycle(*dense, cfg)
     bank["router"] = Tensor((4, 4), [-5.0 if j < 2 else 0.0 for _ in range(4) for j in range(4)])
     x = Tensor.full((1, 4), 0.5)
     out = run_moe(x, cfg, bank)
-    want = dense.apply(x)
+    want = apply_ffn(x, *dense)
     assert max(abs(a - 0.5 * b) for a, b in zip(out.data, want.data)) < 1e-12
 
 
 def test_forward_zero_input_bias_free_gives_zero():
     cfg = MoEConfig(n_replicas=2, segments=2, top_k=2)
-    out = run_moe(Tensor.zeros(2, 6), cfg, upcycle(make_dense(), cfg))
+    out = run_moe(Tensor.zeros(2, 6), cfg, upcycle(*make_dense(), cfg))
     assert out.data == [0.0] * 12
 
 
 def test_forward_world_plus_topk_matches_manual_composition():
     dense = make_dense(h=4, hidden=8, seed=11)
     cfg = MoEConfig(n_replicas=2, segments=2, top_k=2)
-    bank = upcycle(dense, cfg)
+    bank = upcycle(*dense, cfg)
     bank["router"] = Tensor.randn((4, 4), derive_seed(1, "router"))
     x = rand_input(4, 12)
     out = run_moe(x, cfg, bank)
     idx, gates = route(x, bank["router"], cfg.top_k)
-    manual = expert(bank, "world").apply(x).data
+    manual = apply_ffn(x, *expert(bank, "world")).data
     for ei, gate in zip(idx, gates):
-        e_out = expert(bank, f"expert{ei}").apply(x)
+        e_out = apply_ffn(x, *expert(bank, f"expert{ei}"))
         manual = [m + gate * v for m, v in zip(manual, e_out.data)]
     assert max(abs(a - b) for a, b in zip(out.data, manual)) < 1e-12
 
 
 def test_forward_gate_normalization_per_token():
-    bank = upcycle(make_dense(), MoEConfig(n_replicas=2, segments=2, top_k=3))
+    bank = upcycle(*make_dense(), MoEConfig(n_replicas=2, segments=2, top_k=3))
     bank["router"] = Tensor.randn((6, 4), derive_seed(3, "router"))
     for trial in range(20):
         _, gates = route(rand_input(6, trial + 50), bank["router"], 3)
@@ -233,7 +239,7 @@ def test_forward_gate_normalization_per_token():
 
 def test_forward_routing_stats_and_determinism():
     cfg = MoEConfig(n_replicas=2, segments=2, top_k=2)
-    bank = upcycle(make_dense(), cfg)
+    bank = upcycle(*make_dense(), cfg)
     bank["router"] = Tensor.randn((6, 4), derive_seed(4, "router"))
     x = Tensor.randn((5, 6), derive_seed(4, "tokens"))
     s1, s2 = RoutingStats(4), RoutingStats(4)
@@ -248,7 +254,7 @@ def test_forward_routing_stats_and_determinism():
 def test_grad_check_through_router_and_experts():
     dense = make_dense(h=4, hidden=4, seed=21)
     cfg = MoEConfig(n_replicas=2, segments=2, top_k=2)
-    bank = upcycle(dense, cfg)
+    bank = upcycle(*dense, cfg)
     bank["router"] = Tensor.randn((4, 4), derive_seed(5, "router"), 0.8)
     x = Tensor.randn((2, 4), derive_seed(5, "x"))
     names = [n for n, _ in param_items(bank)]
@@ -265,7 +271,7 @@ def test_grad_check_through_router_and_experts():
 
 def test_token_one_column_wider_than_the_router_is_rejected():
     cfg = MoEConfig(n_replicas=2, segments=2, top_k=2)
-    bank = upcycle(make_dense(), cfg)
+    bank = upcycle(*make_dense(), cfg)
     x = rand_input(7, 1)
     with pytest.raises(DimensionError, match="token width 7 != router input 6"):
         run_moe(x, cfg, bank)
@@ -292,7 +298,7 @@ def test_forward_reads_exactly_the_names_upcycle_returns(use_world_expert):
     g = Graph()
     nodes = RecordingNodes({n: g.param(t) for n, t in param_items(bank)})
     moe_forward_nodes(g, g.param(Tensor.randn((3, 6), derive_seed(3, "tokens"))), cfg, nodes)
-    assert nodes.asked == {f"moe.{n}" for n in upcycle(make_dense(h=6, hidden=8), cfg)}
+    assert nodes.asked == {f"moe.{n}" for n in upcycle(*make_dense(h=6, hidden=8), cfg)}
 
 
 # -- grouped dispatch against the per-token loop --------------------------------------
@@ -335,11 +341,10 @@ def bits(values):
 
 def random_bank(cfg, router, seed=31):
     """A bank whose experts all differ (upcycled replicas would be equal)."""
-    bank = upcycle(make_dense(h=6, hidden=8, seed=seed), cfg)
+    bank = upcycle(*make_dense(h=6, hidden=8, seed=seed), cfg)
     sw = 8 // cfg.segments
     for i in range(cfg.num_experts):
-        e = DenseFFN.init(6, sw, derive_seed(seed, f"e{i}"))
-        bank[f"expert{i}.w_in"], bank[f"expert{i}.w_out"] = e.w_in, e.w_out
+        bank[f"expert{i}.w_in"], bank[f"expert{i}.w_out"] = make_dense(6, sw, derive_seed(seed, f"e{i}"))
     if router == "random":
         bank["router"] = Tensor.randn((6, cfg.num_experts), derive_seed(seed, "router"), 0.8)
     return bank
@@ -457,7 +462,7 @@ def test_aux_loss_weight_zero_contributes_nothing():
 
 def test_aux_loss_node_gradient_reaches_router():
     cfg = MoEConfig(n_replicas=2, segments=2, top_k=2)
-    bank = upcycle(make_dense(h=4, hidden=4), cfg)
+    bank = upcycle(*make_dense(h=4, hidden=4), cfg)
     bank["router"] = Tensor.randn((4, 4), derive_seed(9, "router"), 0.8)
     x = Tensor.randn((3, 4), derive_seed(9, "tokens"))
     names = [n for n, _ in param_items(bank)]
@@ -474,7 +479,7 @@ def test_aux_loss_node_gradient_reaches_router():
 
 def test_aux_loss_node_matches_plain_value():
     cfg = MoEConfig(n_replicas=2, segments=2, top_k=2)
-    bank = upcycle(make_dense(), cfg)
+    bank = upcycle(*make_dense(), cfg)
     bank["router"] = Tensor.randn((6, 4), derive_seed(6, "router"))
     x = Tensor.randn((4, 6), derive_seed(6, "tokens"))
     stats = RoutingStats(4, prob_nodes=[])
@@ -502,9 +507,8 @@ def fused_block_fixture():
     from evlm.fusion import GatedXAttn, ImageMarker, build_cross_mask_image, build_padded_kv, insert_media_tokens
 
     layer = GatedXAttn(h_llm=4, d_img=3, r_xc=0.5, r_xf=1.0, seed=71)
-    dense = DenseFFN(layer.params.pop("ffn.w_in"), layer.params.pop("ffn.w_out"))
     cfg = MoEConfig(n_replicas=2, segments=2, top_k=2)
-    bank = upcycle(dense, cfg)
+    bank = upcycle(layer.params.pop("ffn.w_in"), layer.params.pop("ffn.w_out"), cfg)
     bank["router"] = Tensor.randn((4, 4), derive_seed(71, "router"), 0.8)
     seq = insert_media_tokens([ImageMarker(0), 1], media_len=1)
     mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
