@@ -54,12 +54,11 @@ def cli_env(env_extra=None):
 
 
 def run_cli(*args, env_extra=None):
-    env = cli_env(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "evlm.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(env_extra),
         timeout=300,
     )
 
