@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, SequenceError
 from .layers import attention, ffn, ffn_params
-from .numerics import Graph, Init, Node, Tensor, seeded_init
+from .numerics import Graph, Init, Node, Tensor
 
 
 @dataclass(frozen=True)
@@ -161,42 +161,39 @@ def branch_widths(h_llm: int, r_xc: float, r_xf: float) -> tuple[int, int]:
     return a, f
 
 
+def xattn_params(init: Init, prefix: str, h_llm: int, d_img: int, r_xc: float, r_xf: float) -> dict[str, Tensor]:
+    """One gated cross-attention layer's parameters by local name, each drawn
+    under the init key `prefix` + its local name: the projections `wq`,
+    `wk`, `wv`, `wo`, the FFN's `ffn.w_in` and `ffn.w_out`, and the two
+    gates `alpha_attn` and `alpha_ffn`, which start at zero."""
+    a, f = branch_widths(h_llm, r_xc, r_xf)
+    return {
+        "wq": init((h_llm, a), prefix + "wq", h_llm**-0.5),
+        "wk": init((d_img, a), prefix + "wk", d_img**-0.5),
+        "wv": init((d_img, a), prefix + "wv", d_img**-0.5),
+        "wo": init((a, h_llm), prefix + "wo", a**-0.5),
+        **{f"ffn.{n}": t for n, t in ffn_params(init, prefix + "ffn.", h_llm, f).items()},
+        "alpha_attn": Tensor.zeros(1, 1),
+        "alpha_ffn": Tensor.zeros(1, 1),
+    }
+
+
 class GatedXAttn:
     """Single-head cross-attention plus FFN, each behind a scalar tanh gate
     initialized at zero so the host stream is untouched at step zero.
 
-    All projections are bias-free: zero-valued keys/values contribute exactly
-    nothing, and the gate-zero identity is bit-exact.
+    The layer holds no tensors: it reads the parameters of xattn_params from
+    the caller's nodes as `prefix` + local name. All projections are
+    bias-free: zero-valued keys/values contribute exactly nothing, and the
+    gate-zero identity is bit-exact.
     """
 
-    def __init__(
-        self,
-        h_llm: int,
-        d_img: int,
-        r_xc: float,
-        r_xf: float,
-        seed: int,
-        prefix: str = "xattn",
-        init: Init | None = None,
-    ):
-        init = init or seeded_init(seed)
-        a, f = branch_widths(h_llm, r_xc, r_xf)
-
-        def w(name: str, shape: tuple[int, int], std: float) -> Tensor:
-            return init(shape, f"{prefix}.{name}", std)
-
-        self.params: dict[str, Tensor] = {
-            "wq": w("wq", (h_llm, a), h_llm**-0.5),
-            "wk": w("wk", (d_img, a), d_img**-0.5),
-            "wv": w("wv", (d_img, a), d_img**-0.5),
-            "wo": w("wo", (a, h_llm), a**-0.5),
-            **{f"ffn.{n}": t for n, t in ffn_params(init, f"{prefix}.ffn.", h_llm, f).items()},
-            "alpha_attn": Tensor.zeros(1, 1),
-            "alpha_ffn": Tensor.zeros(1, 1),
-        }
+    def __init__(self, prefix: str):
+        self.prefix = prefix
 
     def dense_ffn_branch(self, g: Graph, nodes: Mapping[str, Node]) -> Callable[[Node], Node]:
-        return lambda h: ffn(g, h, nodes["ffn.w_in"], nodes["ffn.w_out"])
+        p = self.prefix
+        return lambda h: ffn(g, h, nodes[p + "ffn.w_in"], nodes[p + "ffn.w_out"])
 
     def forward_nodes(
         self,
@@ -214,11 +211,12 @@ class GatedXAttn:
         raises DimensionError otherwise). ffn_branch swaps in a replacement
         FFN (the MoE block) while staying behind the same gate.
         """
-        attn = attention(g, hidden, kv, nodes["wq"], nodes["wk"], nodes["wv"], nodes["wo"], 1, mask)
-        h1 = g.add(hidden, g.smul(attn, g.tanh(nodes["alpha_attn"])))
+        p = lambda name: nodes[self.prefix + name]
+        attn = attention(g, hidden, kv, p("wq"), p("wk"), p("wv"), p("wo"), 1, mask)
+        h1 = g.add(hidden, g.smul(attn, g.tanh(p("alpha_attn"))))
         if ffn_branch is None:
             ffn_branch = self.dense_ffn_branch(g, nodes)
-        return g.add(h1, g.smul(ffn_branch(h1), g.tanh(nodes["alpha_ffn"])))
+        return g.add(h1, g.smul(ffn_branch(h1), g.tanh(p("alpha_ffn"))))
 
 
 def build_padded_kv(g: Graph, taps: Sequence[Node], pad_len: int, d_img: int) -> Node:

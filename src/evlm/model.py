@@ -23,11 +23,12 @@ from .fusion import (
     build_padded_kv,
     build_self_mask,
     insert_media_tokens,
+    xattn_params,
 )
 from .layers import block, block_params
 from .moe import MoEConfig, RoutingStats, aux_loss_node, moe_forward_nodes, upcycle
 from .numerics import Graph, Init, Node, Tensor, derive_seed, seeded_init, zeros_init
-from .vision import EncoderConfig, VisionEncoder, assign_taps_to_xattn
+from .vision import FFN_MULT, EncoderConfig, VisionEncoder, assign_taps_to_xattn
 
 ALL_GROUPS = (
     "llm",
@@ -151,14 +152,15 @@ def next_token_targets(seq: InterleavedSequence) -> tuple[list[int], list[bool]]
 class FusedModel:
     """Owns every parameter tensor, grouped for stage-wise freezing.
 
-    Random parameters come from `init` (default: seeded Gaussian draws keyed
-    by parameter name)."""
+    `params` is the only table of parameter tensors: every layer reads its
+    own from a graph's nodes as prefix + local name. Random parameters come
+    from `init` (default: seeded Gaussian draws keyed by parameter name)."""
 
     def __init__(self, cfg: ModelConfig, seed: int, init: Init | None = None):
         init = init or seeded_init(seed)
         self.cfg = cfg
         h, v = cfg.h_llm, cfg.vocab
-        self.vision = VisionEncoder(cfg.encoder, seed, init=init)
+        self.vision = VisionEncoder(cfg.encoder)
         self.tap_assignment = assign_taps_to_xattn(cfg.encoder.num_taps, cfg.llm_layers)
 
         params: dict[str, Tensor] = {}
@@ -176,8 +178,11 @@ class FusedModel:
             "vit_last_quarter" if i >= quarter_start else "vit_back_half" if i >= half_start else "vit_front"
             for i in range(layers)
         ]
-        for name, t in self.vision.params.items():
-            reg(name, t, self.vision_groups[VisionEncoder.block_index(name)])
+        d = cfg.encoder.feature_dim
+        for i, group in enumerate(self.vision_groups):
+            b = f"vision.block{i}."
+            for name, t in block_params(init, b, d, FFN_MULT * d).items():
+                reg(b + name, t, group)
 
         # shared media-token table, one row per slot, reused for every image
         reg("media.table", init((cfg.media_len, h), "media.table", h**-0.5), "media_tokens")
@@ -194,20 +199,18 @@ class FusedModel:
         reg("llm.head", init((h, v), "llm.head", h**-0.5), "llm")
 
         # one gated cross-attention layer before every decoder layer
-        self.xattn_layers: list[GatedXAttn] = []
-        for t in range(cfg.llm_layers):
-            layer = GatedXAttn(
-                h, cfg.encoder.feature_dim, cfg.r_xc, cfg.r_xf, seed, prefix=f"xattn.{t}", init=init
-            )
-            self.xattn_layers.append(layer)
+        self.xattn_layers = [GatedXAttn(f"xattn.{t}.") for t in range(cfg.llm_layers)]
+        for layer in self.xattn_layers:
+            b = layer.prefix
+            layer_params = xattn_params(init, b, h, cfg.encoder.feature_dim, cfg.r_xc, cfg.r_xf)
             bank = {}
             if cfg.moe is not None:
                 # the dense FFN is consumed by upcycling; the bank replaces it
-                bank = upcycle(layer.params.pop("ffn.w_in"), layer.params.pop("ffn.w_out"), cfg.moe)
-            for name, t_param in layer.params.items():
-                reg(f"xattn.{t}.{name}", t_param, "xattn")
+                bank = upcycle(layer_params.pop("ffn.w_in"), layer_params.pop("ffn.w_out"), cfg.moe)
+            for name, t_param in layer_params.items():
+                reg(b + name, t_param, "xattn")
             for name, t_param in bank.items():
-                reg(f"xattn.{t}.moe.{name}", t_param, "moe")
+                reg(b + "moe." + name, t_param, "moe")
 
         self.params = params
         self.group_of = group_of
@@ -238,9 +241,10 @@ class FusedModel:
         blocks 0..F-1 is trained: the constants pass no gradient back to them,
         and every forward value is the same float.
         """
+        frozen = tuple(f"vision.block{i}." for i in range(frozen_blocks))
         weights = array("d")
-        for name, t in self.vision.params.items():
-            if VisionEncoder.block_index(name) < frozen_blocks:
+        for name, t in self.params.items():
+            if name.startswith(frozen):
                 weights.extend(t.data)
         weights_key = (frozen_blocks, weights.tobytes())
         kept: dict[tuple, list[Tensor]] = {}
@@ -261,7 +265,9 @@ class FusedModel:
 
     def encode_images_tensors(self, images: Sequence[Tensor]) -> list[list[Tensor]]:
         """Frozen-vision fast path: encode once outside any training graph."""
-        return [self.vision.encode(p) for p in images]
+        g = Graph()
+        nodes = self.param_nodes(g)
+        return [[n.t for n in self.vision.encode_nodes(g, g.constant(p), nodes)] for p in images]
 
     def _check_stream(self, seq: InterleavedSequence) -> None:
         """The input checks every forward applies to its stream."""
@@ -309,17 +315,15 @@ class FusedModel:
         ]
         for t in range(cfg.llm_layers):
             layer = self.xattn_layers[t]
-            prefix = f"xattn.{t}."
-            lnodes = {name: nodes[prefix + name] for name in layer.params}
             ffn_branch = None
             if cfg.moe is not None:
                 stats = None
                 if moe_stats is not None:  # shared across samples in one graph
                     stats = moe_stats.setdefault(t, RoutingStats(cfg.moe.num_experts))
                 ffn_branch = functools.partial(
-                    moe_forward_nodes, g, cfg=cfg.moe, nodes=nodes, prefix=prefix + "moe", stats=stats
+                    moe_forward_nodes, g, cfg=cfg.moe, nodes=nodes, prefix=layer.prefix + "moe.", stats=stats
                 )
-            x = layer.forward_nodes(g, x, kvs[self.tap_assignment[t]], cross_mask, lnodes, ffn_branch=ffn_branch)
+            x = layer.forward_nodes(g, x, kvs[self.tap_assignment[t]], cross_mask, nodes, ffn_branch=ffn_branch)
             x = block(g, x, nodes, f"llm.block{t}.", cfg.heads, self_mask)
         x = g.layer_norm(x, nodes["llm.ln_f.gain"], nodes["llm.ln_f.bias"])
         return g.matmul(x, nodes["llm.head"])

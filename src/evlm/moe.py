@@ -121,11 +121,11 @@ def moe_forward_nodes(
     x: Node,
     cfg: MoEConfig,
     nodes: Mapping[str, Node],
-    prefix: str = "moe",
+    prefix: str = "moe.",
     stats: RoutingStats | None = None,
 ) -> Node:
     """Per token: world(x) + sum over top-k of gate_i * expert_i(x), reading
-    upcycle's names from nodes as f"{prefix}.{name}".
+    upcycle's names from nodes as prefix + name.
 
     Differentiable through the selected gates and every active expert; the
     hard selection itself is treated as locally constant.
@@ -143,7 +143,7 @@ def moe_forward_nodes(
     gradient sums world, chosen experts highest first, router.
     """
     n_tok, h = x.t.shape
-    router = nodes[f"{prefix}.router"]
+    router = nodes[prefix + "router"]
     if h != router.t.rows:
         raise DimensionError(f"token width {h} != router input {router.t.rows}")
     k, n_exp = cfg.top_k, cfg.num_experts
@@ -155,7 +155,7 @@ def moe_forward_nodes(
         for e in experts:
             members[e].append(t)
     stack = [(t, e) for e, m in enumerate(members) for t in m]  # expert outputs by expert, then token
-    ex = f"{prefix}.expert"
+    ex = prefix + "expert"
     outs = [
         ffn(g, g.rows([xs], m), nodes[f"{ex}{e}.w_in"], nodes[f"{ex}{e}.w_out"], per_row_grads=True)
         for e, m in enumerate(members)
@@ -169,7 +169,7 @@ def moe_forward_nodes(
         part = g.rows([gated], [row_of[t, chosen[t][slot]] for t in range(n_tok)])
         out = part if out is None else g.add(out, part)
     if cfg.use_world_expert:
-        world = ffn(g, xs, nodes[f"{prefix}.world.w_in"], nodes[f"{prefix}.world.w_out"], per_row_grads=True)
+        world = ffn(g, xs, nodes[prefix + "world.w_in"], nodes[prefix + "world.w_out"], per_row_grads=True)
         out = g.add(out, world)
     if stats is not None:
         full = g.softmax_masked(logits, [[True] * n_exp] * n_tok)

@@ -2,7 +2,9 @@
 of the deepest layers and the tap-to-cross-attention assignment rule.
 
 Taps are the raw pre-norm block outputs: there is no final norm and no head,
-so the deepest tap is exactly the last residual stream.
+so the deepest tap is exactly the last residual stream. The encoder owns no
+tensors: `FusedModel` draws block i with `layers.block_params` under
+`vision.block<i>.` and passes its nodes in.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigError, DimensionError
-from .layers import block, block_params
-from .numerics import Graph, Init, Node, Tensor, seeded_init
+from .layers import block
+from .numerics import Graph, Node
 
 FFN_MULT = 4  # hidden width of each block's FFN relative to feature_dim
 
@@ -58,31 +60,22 @@ def assign_taps_to_xattn(num_taps: int, num_xattn: int) -> list[int]:
 
 
 class VisionEncoder:
-    """Stack of pre-norm transformer blocks (single-head attention, gelu FFN),
-    parameterized by plain tensors so callers control gradient flow."""
+    """Stack of pre-norm transformer blocks (single-head attention, gelu FFN)
+    and its tap schedule. It holds no parameter: block i reads its tensors
+    from the caller's nodes as `vision.block<i>.<local name>` (the model's
+    parameter table owns them), so callers control gradient flow."""
 
-    def __init__(self, cfg: EncoderConfig, seed: int, init: Init | None = None):
-        init = init or seeded_init(seed)
+    def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
-        d = cfg.feature_dim
-        self.params = {
-            f"vision.block{i}.{name}": t
-            for i in range(cfg.layers)
-            for name, t in block_params(init, f"vision.block{i}.", d, FFN_MULT * d).items()
-        }
         self.schedule = tap_schedule(cfg.layers, cfg.tap_window, cfg.num_taps)
-
-    @staticmethod
-    def block_index(name: str) -> int:
-        """i of a parameter name `vision.block<i>.<local name>`."""
-        return int(name.split(".block", 1)[1].split(".", 1)[0])
 
     def encode_nodes(
         self, g: Graph, patches: Node, nodes: Mapping[str, Node], blocks: list[Node] | None = None
     ) -> list[Node]:
         """Run the blocks inside an existing graph and return the taps, one
         (patch_count, feature_dim) output per layer of `schedule`, shallow to
-        deep; nodes maps parameter names (the keys of `params`) to graph nodes.
+        deep; nodes maps parameter names (`vision.block<i>.<local name>`) to
+        graph nodes.
 
         `blocks`, when given, holds the outputs of the first len(blocks)
         blocks already (say, a frozen prefix's values entered as constants):
@@ -101,9 +94,3 @@ class VisionEncoder:
             x = block(g, x, nodes, f"vision.block{i}.", 1, full_mask)
             outputs.append(x)
         return [outputs[i] for i in self.schedule]
-
-    def encode(self, patches: Tensor) -> list[Tensor]:
-        """Standalone forward pass returning the taps as plain tensors."""
-        g = Graph()
-        nodes = {name: g.param(t) for name, t in self.params.items()}
-        return [n.t for n in self.encode_nodes(g, g.param(patches), nodes)]

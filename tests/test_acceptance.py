@@ -31,6 +31,7 @@ from evlm.fusion import (
     build_cross_mask_video,
     build_padded_kv,
     insert_media_tokens,
+    xattn_params,
 )
 from evlm.model import (
     FusedModel,
@@ -43,7 +44,7 @@ from evlm.model import (
     train_smoke,
 )
 from evlm.moe import MoEConfig, moe_forward_nodes, upcycle
-from evlm.numerics import Tensor, derive_seed, grad_check
+from evlm.numerics import Tensor, derive_seed, grad_check, seeded_init
 from evlm.vision import EncoderConfig
 from test_cli import cli_env
 from test_model import decoder_only_logits
@@ -315,23 +316,24 @@ def test_criterion_4_cost_model():
 def test_criterion_5_gradient_checks():
     with criterion(5, "gradient checks vs central differences", 60):
         # (a) gated cross-attention layer, every coordinate
-        layer = GatedXAttn(h_llm=4, d_img=3, r_xc=0.5, r_xf=0.5, seed=50)
-        layer.params["alpha_attn"] = Tensor((1, 1), [0.4])
-        layer.params["alpha_ffn"] = Tensor((1, 1), [-0.3])
+        layer = GatedXAttn("xattn.")
+        layer_params = xattn_params(seeded_init(50), "xattn.", 4, 3, 0.5, 0.5)
+        layer_params["alpha_attn"] = Tensor((1, 1), [0.4])
+        layer_params["alpha_ffn"] = Tensor((1, 1), [-0.3])
         seq = insert_media_tokens([ImageMarker(0), 1, 2], media_len=1)
         mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
         hidden = Tensor.randn((3, 4), derive_seed(50, "hidden"), 0.7)
         feats = Tensor.randn((2, 3), derive_seed(50, "feats"), 0.7)
-        names = sorted(layer.params)
+        names = sorted(layer_params)
 
         def build_layer(g, nodes):
             h, f = nodes[0], nodes[1]
-            pnodes = dict(zip(names, nodes[2:]))
+            pnodes = {layer.prefix + n: node for n, node in zip(names, nodes[2:])}
             kv = build_padded_kv(g, [f], pad_len=1, d_img=3)
             out = layer.forward_nodes(g, h, kv, mask, pnodes)
             return dot(g, out, g.tanh(out))
 
-        err_a = grad_check(build_layer, [hidden, feats] + [layer.params[n] for n in names])
+        err_a = grad_check(build_layer, [hidden, feats] + [layer_params[n] for n in names])
         assert err_a < 1e-4, f"xattn layer grad err {err_a}"
 
         # (b) moe_forward including the router, every coordinate

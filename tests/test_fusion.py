@@ -19,8 +19,9 @@ from evlm.fusion import (
     build_self_mask,
     format_mask_dump,
     insert_media_tokens,
+    xattn_params,
 )
-from evlm.numerics import Graph, Tensor, derive_seed, grad_check
+from evlm.numerics import Graph, Tensor, derive_seed, grad_check, seeded_init
 from test_numerics import dot
 
 
@@ -288,14 +289,18 @@ def xattn_oracle(hidden, kv, allow, p, a_width):
 
 
 def make_layer(h=4, d=3, seed=11):
-    return GatedXAttn(h_llm=h, d_img=d, r_xc=0.5, r_xf=0.5, seed=seed)
+    """A layer under the prefix `xattn.` and its parameters by local name."""
+    return GatedXAttn("xattn."), xattn_params(seeded_init(seed), "xattn.", h, d, 0.5, 0.5)
 
 
-def xattn(layer, hidden, kv, mask):
+def layer_nodes(g, layer, params):
+    return {layer.prefix + n: g.param(t) for n, t in params.items()}
+
+
+def xattn(layer, params, hidden, kv, mask):
     """The layer's output for `hidden` attending to the `kv` rows, on a fresh graph."""
     g = Graph()
-    nodes = {n: g.param(t) for n, t in layer.params.items()}
-    return layer.forward_nodes(g, g.param(hidden), g.param(kv), mask, nodes).t
+    return layer.forward_nodes(g, g.param(hidden), g.param(kv), mask, layer_nodes(g, layer, params)).t
 
 
 def rows_of(t):
@@ -303,51 +308,50 @@ def rows_of(t):
 
 
 def test_gate_zero_identity_bit_exact():
-    layer = make_layer()
+    layer, params = make_layer()
     seq = insert_media_tokens([ImageMarker(0), 1, 2], media_len=1)
     mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
     hidden = Tensor.randn((3, 4), derive_seed(0, "hidden"))
     kv = Tensor.randn((2, 3), derive_seed(0, "feats"))
     g = Graph()
     kv_node = build_padded_kv(g, [g.param(kv)], pad_len=1, d_img=3)
-    nodes = {n: g.param(t) for n, t in layer.params.items()}
-    out = layer.forward_nodes(g, g.param(hidden), kv_node, mask, nodes)
+    out = layer.forward_nodes(g, g.param(hidden), kv_node, mask, layer_nodes(g, layer, params))
     assert out.t.data == hidden.data
 
 
 def test_zero_features_attn_branch_is_zero():
-    layer = make_layer()
-    layer.params["alpha_attn"] = Tensor((1, 1), [1.3])  # open the attention gate only
+    layer, params = make_layer()
+    params["alpha_attn"] = Tensor((1, 1), [1.3])  # open the attention gate only
     seq = insert_media_tokens([ImageMarker(0), 1], media_len=1)
     mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
     hidden = Tensor.randn((2, 4), derive_seed(1, "hidden"))
-    out = xattn(layer, hidden, Tensor.zeros(3, 3), mask)
+    out = xattn(layer, params, hidden, Tensor.zeros(3, 3), mask)
     assert out.data == hidden.data
 
 
 def test_forward_matches_loop_oracle():
     rng = random.Random(23)
-    layer = make_layer()
-    layer.params["alpha_attn"] = Tensor((1, 1), [0.7])
-    layer.params["alpha_ffn"] = Tensor((1, 1), [-0.4])
+    layer, params = make_layer()
+    params["alpha_attn"] = Tensor((1, 1), [0.7])
+    params["alpha_ffn"] = Tensor((1, 1), [-0.4])
     seq = insert_media_tokens([ImageMarker(0), 1, 2], media_len=1)
     mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
     hidden = Tensor.randn((3, 4), derive_seed(2, "hidden"))
     kv_rows = [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(2)] + [[0.0] * 3]
-    out = xattn(layer, hidden, Tensor((3, 3), sum(kv_rows, [])), mask)
-    p = {n: rows_of(t) for n, t in layer.params.items()}
-    p["alpha_attn"] = layer.params["alpha_attn"].item()
-    p["alpha_ffn"] = layer.params["alpha_ffn"].item()
-    want = xattn_oracle(rows_of(hidden), kv_rows, mask, p, layer.params["wq"].cols)
+    out = xattn(layer, params, hidden, Tensor((3, 3), sum(kv_rows, [])), mask)
+    p = {n: rows_of(t) for n, t in params.items()}
+    p["alpha_attn"] = params["alpha_attn"].item()
+    p["alpha_ffn"] = params["alpha_ffn"].item()
+    want = xattn_oracle(rows_of(hidden), kv_rows, mask, p, params["wq"].cols)
     assert out.shape == (3, 4)
     worst = max(abs(a - b) for gr, wr in zip(rows_of(out), want) for a, b in zip(gr, wr))
     assert worst < 1e-10
 
 
 def test_locality_image_content_invisible_before_its_run():
-    layer = make_layer(h=4, d=3, seed=5)
-    layer.params["alpha_attn"] = Tensor((1, 1), [0.9])
-    layer.params["alpha_ffn"] = Tensor((1, 1), [0.5])
+    layer, params = make_layer(h=4, d=3, seed=5)
+    params["alpha_attn"] = Tensor((1, 1), [0.9])
+    params["alpha_ffn"] = Tensor((1, 1), [0.5])
     seq = insert_media_tokens([1, ImageMarker(0), 2, ImageMarker(1), 3], media_len=2)
     mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
     hidden = Tensor.randn((len(seq), 4), derive_seed(3, "hidden"))
@@ -358,8 +362,7 @@ def test_locality_image_content_invisible_before_its_run():
     def run(f1):
         g = Graph()
         kv = build_padded_kv(g, [g.param(feats0), g.param(f1)], pad_len=1, d_img=3)
-        nodes = {n: g.param(t) for n, t in layer.params.items()}
-        return layer.forward_nodes(g, g.param(hidden), kv, mask, nodes).t
+        return layer.forward_nodes(g, g.param(hidden), kv, mask, layer_nodes(g, layer, params)).t
 
     out_a, out_b = run(feats1a), run(feats1b)
     image1_run_start = 4  # positions 0..3 precede image 1's run
@@ -369,36 +372,36 @@ def test_locality_image_content_invisible_before_its_run():
 
 
 def test_mask_kv_mismatch_rejected():
-    layer = make_layer()
+    layer, params = make_layer()
     seq = insert_media_tokens([ImageMarker(0), 1], media_len=1)
     mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
     with pytest.raises(DimensionError):
-        xattn(layer, Tensor.zeros(2, 4), Tensor.zeros(5, 3), mask)
+        xattn(layer, params, Tensor.zeros(2, 4), Tensor.zeros(5, 3), mask)
     with pytest.raises(DimensionError, match="mask shape"):  # one mask row fewer than hidden rows
-        xattn(layer, Tensor.zeros(2, 4), Tensor.zeros(3, 3), mask[:1])
+        xattn(layer, params, Tensor.zeros(2, 4), Tensor.zeros(3, 3), mask[:1])
 
 
 def test_layer_grad_check():
-    layer = make_layer(h=4, d=3, seed=31)
-    layer.params["alpha_attn"] = Tensor((1, 1), [0.3])
-    layer.params["alpha_ffn"] = Tensor((1, 1), [-0.6])
+    layer, layer_params = make_layer(h=4, d=3, seed=31)
+    layer_params["alpha_attn"] = Tensor((1, 1), [0.3])
+    layer_params["alpha_ffn"] = Tensor((1, 1), [-0.6])
     seq = insert_media_tokens([ImageMarker(0), 1, 2], media_len=1)
     mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
     hidden = Tensor.randn((3, 4), derive_seed(4, "hidden"), 0.7)
     feats = Tensor.randn((2, 3), derive_seed(4, "feats"), 0.7)
-    names = sorted(layer.params)
+    names = sorted(layer_params)
 
     def build(g, nodes):
         h, f = nodes[0], nodes[1]
-        pnodes = dict(zip(names, nodes[2:]))
+        pnodes = {layer.prefix + n: node for n, node in zip(names, nodes[2:])}
         kv = build_padded_kv(g, [f], pad_len=1, d_img=3)
         out = layer.forward_nodes(g, h, kv, mask, pnodes)
         return dot(g, out, g.tanh(out))
 
-    params = [hidden, feats] + [layer.params[n] for n in names]
+    params = [hidden, feats] + [layer_params[n] for n in names]
     assert grad_check(build, params) < 1e-4
 
 
 def test_branch_width_validation():
     with pytest.raises(ConfigError):
-        GatedXAttn(h_llm=2, d_img=2, r_xc=0.2, r_xf=0.5, seed=0)
+        xattn_params(seeded_init(0), "xattn.", 2, 2, 0.2, 0.5)

@@ -522,6 +522,63 @@ def test_a_forward_only_call_between_steps_leaves_the_next_step_unchanged(case):
     assert param_digest(model) == param_digest(fresh)
 
 
+# -- one owner: FusedModel.params holds every parameter tensor --------------------------
+
+
+def smoke_batch(model, seed, encode):
+    """One caption per smoke class over its sample-0 image, passed through `encode`."""
+    cfg = model.cfg
+    return [(caption_sequence(cfg, c), encode([synthetic_patches(cfg.encoder, c, 0, seed)])) for c in range(4)]
+
+
+@pytest.mark.parametrize("stage", ["sft", "pretrain_phase1"])
+def test_replacing_a_vision_tensor_equals_writing_it_in_place(stage):
+    # sft keeps the outputs of vision blocks 0..2 per image (the prefix cache); pretrain_phase1
+    # freezes the whole encoder, so its taps come from encode_images_tensors
+    trainable, precomputed = freeze_stage(stage), stage == "pretrain_phase1"
+    losses = {}
+    for how in ("none", "in-place", "new-object"):
+        model = FusedModel(smoke_config(), seed=3)
+        encode = model.encode_images_tensors if precomputed else list
+        model.sgd_step(smoke_batch(model, 3, encode), 0.5, trainable, taps_precomputed=precomputed)
+        t = model.params["vision.block0.wq"]  # the step opened the gates, so the taps reach the loss
+        new = [0.5 * v + 0.01 for v in t.data]
+        if how == "in-place":
+            t.data[:] = new
+        elif how == "new-object":
+            model.params["vision.block0.wq"] = Tensor(t.shape, new)
+        loss = model.sgd_step(smoke_batch(model, 3, encode), 0.5, trainable, taps_precomputed=precomputed)
+        losses[how] = repr(loss)
+    assert losses["in-place"] != losses["none"]
+    assert losses["new-object"] == losses["in-place"]
+
+
+def _tensors(obj):
+    """Every Tensor reachable from obj through dict values, lists and tuples."""
+    if isinstance(obj, Tensor):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _tensors(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _tensors(value)
+
+
+@pytest.mark.parametrize("moe", [None, MoEConfig(n_replicas=2, segments=2, top_k=2)], ids=["dense", "moe"])
+def test_no_attribute_but_model_params_holds_a_parameter_tensor(moe):
+    model = FusedModel(tiny_config(moe=moe), seed=5)
+    batch = [(mixed_sequence(model, random.Random(6), num_images=1), rand_images(model, 1, 7))]
+    model.sgd_step(batch, lr=0.5, trainable_groups=freeze_stage("sft"))  # keeps vision block 0's outputs
+    owned = {id(t) for t in model.params.values()}
+    for obj in (model, model.vision, *model.xattn_layers):
+        for attr, value in vars(obj).items():
+            if obj is model and attr == "params":
+                continue
+            held = [t for t in _tensors(value) if id(t) in owned]
+            assert not held, f"{type(obj).__name__}.{attr} holds {len(held)} parameter tensors"
+
+
 # -- smoke training and probe ----------------------------------------------------------
 
 

@@ -37,9 +37,9 @@ def rand_input(h, seed, rows=1):
     return Tensor.randn((rows, h), derive_seed(seed, "x"))
 
 
-def param_items(bank, prefix="moe"):
+def param_items(bank, prefix="moe."):
     """The bank's (name, tensor) pairs under `prefix`, as moe_forward_nodes reads them."""
-    return [(f"{prefix}.{n}", t) for n, t in bank.items()]
+    return [(prefix + n, t) for n, t in bank.items()]
 
 
 def expert(bank, name):
@@ -304,24 +304,24 @@ def test_forward_reads_exactly_the_names_upcycle_returns(use_world_expert):
 # -- grouped dispatch against the per-token loop --------------------------------------
 
 
-def per_token_moe_forward_nodes(g, x, cfg, nodes, prefix="moe", stats=None):
+def per_token_moe_forward_nodes(g, x, cfg, nodes, prefix="moe.", stats=None):
     """One token at a time: a one-row gather, a router matmul and k+1 one-row FFNs
     per token. The reference that grouped dispatch must match bit for bit."""
     all_true_k = [[True] * cfg.top_k]
     out_rows = []
     for i in range(x.t.shape[0]):
         row = g.rows([x], [i])
-        logits = g.matmul(row, nodes[f"{prefix}.router"])
+        logits = g.matmul(row, nodes[prefix + "router"])
         chosen = top_k(logits.t.data, cfg.top_k)
         picked = g.rows([g.reshape(logits, (cfg.num_experts, 1))], chosen)
         gates = g.reshape(g.softmax_masked(g.reshape(picked, (1, cfg.top_k)), all_true_k), (cfg.top_k, 1))
         acc = None
         for slot, ei in enumerate(chosen):
-            out = ffn(g, row, nodes[f"{prefix}.expert{ei}.w_in"], nodes[f"{prefix}.expert{ei}.w_out"])
+            out = ffn(g, row, nodes[f"{prefix}expert{ei}.w_in"], nodes[f"{prefix}expert{ei}.w_out"])
             gated = g.smul(out, g.rows([gates], [slot]))
             acc = gated if acc is None else g.add(acc, gated)
         if cfg.use_world_expert:
-            world = ffn(g, row, nodes[f"{prefix}.world.w_in"], nodes[f"{prefix}.world.w_out"])
+            world = ffn(g, row, nodes[prefix + "world.w_in"], nodes[prefix + "world.w_out"])
             acc = world if acc is None else g.add(acc, world)
         out_rows.append(acc)
         if stats is not None:
@@ -504,23 +504,31 @@ def test_moe_config_validation():
 
 
 def fused_block_fixture():
-    from evlm.fusion import GatedXAttn, ImageMarker, build_cross_mask_image, build_padded_kv, insert_media_tokens
+    from evlm.fusion import (
+        GatedXAttn,
+        ImageMarker,
+        build_cross_mask_image,
+        build_padded_kv,
+        insert_media_tokens,
+        xattn_params,
+    )
 
-    layer = GatedXAttn(h_llm=4, d_img=3, r_xc=0.5, r_xf=1.0, seed=71)
+    layer = GatedXAttn("xattn.")
+    params = xattn_params(seeded_init(71), "xattn.", 4, 3, 0.5, 1.0)
     cfg = MoEConfig(n_replicas=2, segments=2, top_k=2)
-    bank = upcycle(layer.params.pop("ffn.w_in"), layer.params.pop("ffn.w_out"), cfg)
+    bank = upcycle(params.pop("ffn.w_in"), params.pop("ffn.w_out"), cfg)
     bank["router"] = Tensor.randn((4, 4), derive_seed(71, "router"), 0.8)
     seq = insert_media_tokens([ImageMarker(0), 1], media_len=1)
     mask = build_cross_mask_image(seq, s_img=2, pad_len=1)
-    return layer, cfg, bank, mask, build_padded_kv
+    return layer, params, cfg, bank, mask, build_padded_kv
 
 
 def test_moe_behind_ffn_gate_preserves_gate_zero_identity():
-    layer, cfg, bank, mask, build_padded_kv = fused_block_fixture()
+    layer, params, cfg, bank, mask, build_padded_kv = fused_block_fixture()
     hidden = Tensor.randn((2, 4), derive_seed(72, "hidden"))
     feats = Tensor.randn((2, 3), derive_seed(72, "feats"))
     g = Graph()
-    nodes = {n: g.param(t) for n, t in layer.params.items()}
+    nodes = {layer.prefix + n: g.param(t) for n, t in params.items()}
     bank_nodes = {n: g.param(t) for n, t in param_items(bank)}
     kv = build_padded_kv(g, [g.param(feats)], pad_len=1, d_img=3)
     out = layer.forward_nodes(
@@ -535,17 +543,17 @@ def test_moe_behind_ffn_gate_preserves_gate_zero_identity():
 
 
 def test_grad_check_fused_block_with_moe_two_tokens():
-    layer, cfg, bank, mask, build_padded_kv = fused_block_fixture()
-    layer.params["alpha_attn"] = Tensor((1, 1), [0.4])
-    layer.params["alpha_ffn"] = Tensor((1, 1), [-0.5])
+    layer, layer_params, cfg, bank, mask, build_padded_kv = fused_block_fixture()
+    layer_params["alpha_attn"] = Tensor((1, 1), [0.4])
+    layer_params["alpha_ffn"] = Tensor((1, 1), [-0.5])
     hidden = Tensor.randn((2, 4), derive_seed(73, "hidden"), 0.7)
     feats = Tensor.randn((2, 3), derive_seed(73, "feats"), 0.7)
-    layer_names = sorted(layer.params)
+    layer_names = sorted(layer_params)
     bank_names = [n for n, _ in param_items(bank)]
 
     def build(g, nodes):
         h, f = nodes[0], nodes[1]
-        lnodes = dict(zip(layer_names, nodes[2 : 2 + len(layer_names)]))
+        lnodes = {layer.prefix + n: node for n, node in zip(layer_names, nodes[2 : 2 + len(layer_names)])}
         bnodes = dict(zip(bank_names, nodes[2 + len(layer_names) :]))
         kv = build_padded_kv(g, [f], pad_len=1, d_img=3)
         out = layer.forward_nodes(
@@ -556,7 +564,7 @@ def test_grad_check_fused_block_with_moe_two_tokens():
 
     params = (
         [hidden, feats]
-        + [layer.params[n] for n in layer_names]
+        + [layer_params[n] for n in layer_names]
         + [t for _, t in param_items(bank)]
     )
     assert grad_check(build, params) < 1e-4

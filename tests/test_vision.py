@@ -5,8 +5,9 @@ import random
 import pytest
 
 from evlm.errors import ConfigError, DimensionError
-from evlm.numerics import Tensor, derive_seed
-from evlm.vision import EncoderConfig, VisionEncoder, assign_taps_to_xattn, tap_schedule
+from evlm.layers import block_params
+from evlm.numerics import Graph, Tensor, derive_seed, seeded_init
+from evlm.vision import FFN_MULT, EncoderConfig, VisionEncoder, assign_taps_to_xattn, tap_schedule
 
 
 # -- tap_schedule -------------------------------------------------------------
@@ -87,10 +88,27 @@ def test_assign_rejects_fewer_layers_than_taps():
 # -- encode ------------------------------------------------------------------------
 
 
+def encoder_params(cfg, seed):
+    """Every block's parameters by full name, drawn as FusedModel draws them."""
+    init, d = seeded_init(seed), cfg.feature_dim
+    return {
+        f"vision.block{i}.{name}": t
+        for i in range(cfg.layers)
+        for name, t in block_params(init, f"vision.block{i}.", d, FFN_MULT * d).items()
+    }
+
+
+def encode(enc, params, patches):
+    """The taps of `patches` as plain tensors, on a fresh graph."""
+    g = Graph()
+    nodes = {name: g.param(t) for name, t in params.items()}
+    return [n.t for n in enc.encode_nodes(g, g.param(patches), nodes)]
+
+
 def test_encode_degenerate_single_layer():
     cfg = EncoderConfig(layers=1, patch_count=3, feature_dim=4, tap_window=1, num_taps=1)
-    enc = VisionEncoder(cfg, seed=0)
-    taps = enc.encode(Tensor.randn((3, 4), derive_seed(0, "patches")))
+    enc = VisionEncoder(cfg)
+    taps = encode(enc, encoder_params(cfg, seed=0), Tensor.randn((3, 4), derive_seed(0, "patches")))
     assert enc.schedule == [0]
     assert len(taps) == 1
     assert taps[0].shape == (3, 4)
@@ -98,27 +116,27 @@ def test_encode_degenerate_single_layer():
 
 def test_encode_toy_schedule_and_shapes():
     cfg = EncoderConfig(layers=12, patch_count=5, feature_dim=8, tap_window=8, num_taps=4)
-    enc = VisionEncoder(cfg, seed=7)
-    taps = enc.encode(Tensor.randn((5, 8), derive_seed(7, "patches")))
+    enc = VisionEncoder(cfg)
+    taps = encode(enc, encoder_params(cfg, seed=7), Tensor.randn((5, 8), derive_seed(7, "patches")))
     assert enc.schedule == [5, 7, 9, 11]
     assert all(t.shape == (5, 8) for t in taps)
 
 
 def test_encode_zero_weights_is_identity():
     cfg = EncoderConfig(layers=3, patch_count=4, feature_dim=6, tap_window=3, num_taps=3)
-    enc = VisionEncoder(cfg, seed=0)
-    for t in enc.params.values():
+    params = encoder_params(cfg, seed=0)
+    for t in params.values():
         t.data[:] = [0.0] * t.size
     patches = Tensor.randn((4, 6), derive_seed(3, "patches"))
-    for tap in enc.encode(patches):
+    for tap in encode(VisionEncoder(cfg), params, patches):
         assert tap.data == patches.data
 
 
 def test_encode_deterministic_and_taps_distinct():
     cfg = EncoderConfig(layers=4, patch_count=4, feature_dim=8, tap_window=4, num_taps=3)
     patches = Tensor.randn((4, 8), derive_seed(9, "patches"))
-    a = VisionEncoder(cfg, seed=5).encode(patches)
-    b = VisionEncoder(cfg, seed=5).encode(patches)
+    a = encode(VisionEncoder(cfg), encoder_params(cfg, seed=5), patches)
+    b = encode(VisionEncoder(cfg), encoder_params(cfg, seed=5), patches)
     for ta, tb in zip(a, b):
         assert ta.data == tb.data
     for i in range(len(a)):
@@ -128,6 +146,5 @@ def test_encode_deterministic_and_taps_distinct():
 
 def test_encode_rejects_wrong_patch_shape():
     cfg = EncoderConfig(layers=2, patch_count=4, feature_dim=6, tap_window=2, num_taps=1)
-    enc = VisionEncoder(cfg, seed=0)
     with pytest.raises(DimensionError):
-        enc.encode(Tensor.zeros(3, 6))
+        encode(VisionEncoder(cfg), encoder_params(cfg, seed=0), Tensor.zeros(3, 6))
