@@ -2,9 +2,7 @@
 of the deepest layers and the tap-to-cross-attention assignment rule.
 
 Taps are the raw pre-norm block outputs: there is no final norm and no head,
-so the deepest tap is exactly the last residual stream. The encoder owns no
-tensors: `FusedModel` draws block i with `layers.block_params` under
-`vision.block<i>.` and passes its nodes in.
+so the deepest tap is exactly the last residual stream.
 """
 
 from __future__ import annotations
@@ -61,9 +59,9 @@ def assign_taps_to_xattn(num_taps: int, num_xattn: int) -> list[int]:
 
 class VisionEncoder:
     """Stack of pre-norm transformer blocks (single-head attention, gelu FFN)
-    and its tap schedule. It holds no parameter: block i reads its tensors
-    from the caller's nodes as `vision.block<i>.<local name>` (the model's
-    parameter table owns them), so callers control gradient flow."""
+    and its tap schedule. It holds no tensors: block i reads its parameters
+    from the caller's nodes as `vision.block<i>.<local name>`, so callers
+    control gradient flow."""
 
     def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
