@@ -765,6 +765,35 @@ def test_parameter_gradients_are_pinned(mode, moe, heads):
     assert hashlib.sha256(grads.encode()).hexdigest() == _GRADIENT_SHA256[key]
 
 
+_BATCH_GRADIENT_SHA256 = {
+    "image-dense": "34df9d528c9197a46b006b38f7348dd2f6f1ef5f6954ed7e47c930feeea0bc0b",
+    "image-moe": "78f8614062bd2ac067a946e561d2c5c56c1e81ca2b7d259fbfff22f845978879",
+    "video-dense": "d264ae98dc2fe12b4245bcdf6845cd2fee5b223a34a1966624468f364010c15f",
+    "video-moe": "c3d8a4c42939f11559b29ec7e0acdf273f3afeb12d7adbfac3385899bf42d59c",
+}
+
+
+@pytest.mark.parametrize("mode", ["image", "video"])
+@pytest.mark.parametrize(
+    "moe", [None, MoEConfig(n_replicas=2, segments=2, top_k=2, aux_loss_weight=0.01)], ids=["dense", "moe"]
+)
+def test_batch_loss_gradients_are_pinned(mode, moe):
+    # the graph sgd_step builds: two samples through _batch_loss, every vision block in it and the
+    # aux loss on; media slots and final positions are no targets, so their gradient rows are zeros
+    model = open_model(tiny_config(mask_mode=mode, moe=moe), seed=24)
+    rng = random.Random(25)
+    batch = [
+        (mixed_sequence(model, rng, num_images=2), rand_images(model, 2, 26)),
+        (mixed_sequence(model, rng, num_images=1), rand_images(model, 1, 27)),
+    ]
+    g = Graph()
+    nodes = model.param_nodes(g)
+    g.backward(model._batch_loss(g, nodes, batch, taps_precomputed=False, frozen_blocks=0))
+    grads = repr([(name, g.grad(nodes[name]).data) for name in sorted(model.params)])
+    key = f"{mode}-{'dense' if moe is None else 'moe'}"
+    assert hashlib.sha256(grads.encode()).hexdigest() == _BATCH_GRADIENT_SHA256[key]
+
+
 _SMOKE_PINS = {
     "dense": (["1.71442822622684", "1.7519631769074575", "1.6371396625691021"], None),
     "moe": (
