@@ -54,26 +54,57 @@ def dots(k: int, pairs: RowPairs) -> list[float]:
     return expr(pairs)
 
 
+def zero_runs(d: list[float], w: int) -> list[list[int]]:
+    """[start, stop) of each run of all-zero rows of a row-major matrix of
+    width w, in order; only rows that start with a zero are scanned."""
+    runs: list[list[int]] = []
+    firsts = d[::w]
+    if 0.0 in firsts:
+        for i, v in enumerate(firsts):
+            if not v and not any(d[i * w : (i + 1) * w]):
+                if runs and runs[-1][1] == i:
+                    runs[-1][1] += 1
+                else:
+                    runs.append([i, i + 1])
+    return runs
+
+
 def mm_data(a: list[float], m: int, k: int, b: list[float], n: int) -> list[float]:
     """Row-major (m,k) @ (k,n): each entry the dots() product of a row of a
-    and a column of b, so sums add left to right from 0 (see dots).
-
-    With k == 1 every entry is a one-term dot product: the outer product,
-    where 0.0 + x * y is exactly sum([x * y]) (sum starts from 0, which turns
-    a -0.0 product into 0.0)."""
+    and a column of b. Inner indices whose row of b is all zero are skipped:
+    for finite a, as every caller's is, their terms are ±0.0, and adding
+    ±0.0 to a sum that starts at 0.0 changes no bit (README, numerics). A
+    MAC count read from the arguments stays m*k*n. With k == 1 each entry
+    is the one-term dot product 0.0 + x * y, exactly sum([x * y])."""
     if len(a) != m * k or len(b) != k * n:
         raise DimensionError(f"mm_data operands hold {len(a)}, {len(b)} values, not {m}*{k}, {k}*{n}")
+    runs = zero_runs(b, n)
+    live = k - sum(stop - start for start, stop in runs) if runs else k
+    if not live:
+        return [0.0] * (m * n)
     if k == 1:
         return [0.0 + x * y for x in a for y in b]
-    return dots(k, product([a[i * k : (i + 1) * k] for i in range(m)], [b[j::n] for j in range(n)]))
+    arows = [a[i * k : (i + 1) * k] for i in range(m)]
+    bcols = [b[j::n] for j in range(n)]
+    for start, stop in reversed(runs):  # the last run first, so earlier indices hold
+        for row in chain(arows, bcols):
+            del row[start:stop]
+    return dots(live, product(arows, bcols))
 
 
 def mm_abt_data(a: list[float], m: int, n: int, b: list[float], p: int) -> list[float]:
-    """(m,n) @ (p,n)^T -> (m,p); columns of b^T are rows of b."""
+    """(m,n) @ (p,n)^T -> (m,p); columns of b^T are rows of b. An all-zero
+    row of a gives p zeros and no dots, exact for finite b (see mm_data)."""
     if len(a) != m * n or len(b) != p * n:
         raise DimensionError(f"mm_abt_data operands hold {len(a)}, {len(b)} values, not {m}*{n}, {p}*{n}")
-    brows = [b[q * n : (q + 1) * n] for q in range(p)]
-    return dots(n, product([a[i * n : (i + 1) * n] for i in range(m)], brows))
+    runs = zero_runs(a, n)
+    arows = [a[i * n : (i + 1) * n] for i in range(m)]
+    for start, stop in reversed(runs):
+        del arows[start:stop]
+    out = dots(n, product(arows, [b[q * n : (q + 1) * n] for q in range(p)]))
+    for start, stop in runs:  # in order, so the rows before each run sit in place
+        out[start * p : start * p] = [0.0] * ((stop - start) * p)
+    return out
 
 
 def transpose_data(d: list[float], m: int, n: int) -> list[float]:

@@ -146,6 +146,62 @@ def test_matmul_kernels_are_bit_identical_to_one_sum_per_entry(kernel, reference
         assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
 
 
+# 1e155 * 1e155 overflows, so some sums are inf and, with -1e155, nan: a skipped ±0.0 term leaves both
+_ZERO_ROW_POOL = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e150, -1e-300, 1e155, -1e155]
+
+
+def rows_with_zeros(rng, rows, width, live):
+    """rows x width values where all but `live` random rows hold only 0.0 and -0.0, mixed."""
+    keep = set(rng.sample(range(rows), live))
+    return [
+        (rng.choice(_ZERO_ROW_POOL) if rng.random() < 0.4 else rng.uniform(-3, 3)) if r in keep
+        else rng.choice((0.0, -0.0))
+        for r in range(rows)
+        for _ in range(width)
+    ]
+
+
+def assert_same_bytes(got, want):
+    assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
+
+
+# mm_data drops the all-zero rows of b, so the live count sets the dot length: on each side of _DOT_CAP
+@pytest.mark.parametrize(
+    "k,live",
+    [(1, 0), (1, 1), (6, 0), (6, 1), (6, 4), (_DOT_CAP + 3, _DOT_CAP), (_DOT_CAP + 3, _DOT_CAP + 1)],
+)
+def test_mm_data_skips_all_zero_rows_of_b_bit_identically(k, live):
+    rng = random.Random(1000 * k + live)
+    for _ in range(max(4, 2000 // k)):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a, b = rows_with_zeros(rng, m, k, m), rows_with_zeros(rng, k, n, live)
+        assert_same_bytes(mm_data(a, m, k, b, n), general_mm_data(a, m, k, b, n))
+
+
+# mm_abt_data keeps the dot length n and skips the all-zero rows of a
+@pytest.mark.parametrize("n", [1, 6, _DOT_CAP, _DOT_CAP + 1])
+@pytest.mark.parametrize("live", [0, 1, 3])
+def test_mm_abt_data_skips_all_zero_rows_of_a_bit_identically(n, live):
+    rng = random.Random(1000 * n + live)
+    for _ in range(max(4, 2000 // n)):
+        m, p = rng.randint(max(1, live), 6), rng.randint(1, 6)
+        a, b = rows_with_zeros(rng, m, n, live), rows_with_zeros(rng, p, n, p)
+        assert_same_bytes(mm_abt_data(a, m, n, b, p), general_mm_abt_data(a, m, n, b, p))
+
+
+def test_a_skipped_zero_row_leaves_inf_and_nan_sums_as_they_are():
+    # finite operands whose products overflow: the sums reach inf, and inf - inf = nan
+    big = 1e155
+    cases = [
+        (mm_data, general_mm_data, ([big, -0.0, big, big, 0.0, -big], 2, 3, [big, 1.0, -0.0, 0.0, big, big], 2)),
+        (mm_abt_data, general_mm_abt_data, ([0.0, -0.0, big, big], 2, 2, [big, -big, big, big], 2)),
+    ]
+    for kernel, reference, args in cases:
+        got = kernel(*args)
+        assert any(map(math.isinf, got)) and any(map(math.isnan, got))
+        assert_same_bytes(got, reference(*args))
+
+
 @pytest.mark.parametrize(
     "kernel,a,m,k,b,n",
     [
