@@ -13,8 +13,11 @@ from .tensor import Tensor
 # scalar node. They must be deterministic in the parameter values.
 LossBuilder = Callable[[Graph, list[Node]], Node]
 
+H = 1e-5  # central-difference step
+FLOOR = 1e-6  # smallest denominator of the relative error
 
-def _eval_loss(build_loss: LossBuilder, params: list[Tensor]) -> float:
+
+def _eval_loss(build_loss: LossBuilder, params: Sequence[Tensor]) -> float:
     g = Graph()
     nodes = [g.param(p) for p in params]
     value = build_loss(g, nodes).t.item()
@@ -25,42 +28,38 @@ def _eval_loss(build_loss: LossBuilder, params: list[Tensor]) -> float:
 
 def grad_check(
     build_loss: LossBuilder,
-    params: Tensor | Sequence[Tensor],
-    h: float = 1e-5,
-    floor: float = 1e-6,
+    params: Sequence[Tensor],
     sample: int | None = None,
     seed: int = 0,
 ) -> float:
     """Worst relative error between reverse-mode and central differences.
 
-    Every coordinate of every parameter is perturbed by +-h unless `sample`
+    Every coordinate of every parameter is perturbed by +-H unless `sample`
     caps the per-tensor coordinate count (sampled deterministically). The
     denominator is floored so coordinates whose true gradient sits below the
     finite-difference noise floor compare absolutely instead of exploding.
     """
-    plist = [params] if isinstance(params, Tensor) else list(params)
-
     g = Graph()
-    nodes = [g.param(p) for p in plist]
+    nodes = [g.param(p) for p in params]
     g.backward(build_loss(g, nodes))
     analytic = [g.grad(n).data for n in nodes]
 
     rng = random.Random(seed)
     worst = 0.0
-    for t, adg in zip(plist, analytic):
+    for t, adg in zip(params, analytic):
         coords = range(t.size)
         if sample is not None and sample < t.size:
             coords = sorted(rng.sample(range(t.size), sample))
         for i in coords:
             orig = t.data[i]
-            t.data[i] = orig + h
-            fp = _eval_loss(build_loss, plist)
-            t.data[i] = orig - h
-            fm = _eval_loss(build_loss, plist)
+            t.data[i] = orig + H
+            fp = _eval_loss(build_loss, params)
+            t.data[i] = orig - H
+            fm = _eval_loss(build_loss, params)
             t.data[i] = orig
-            fd = (fp - fm) / (2.0 * h)
+            fd = (fp - fm) / (2.0 * H)
             ad = adg[i]
-            err = abs(ad - fd) / max(abs(ad), abs(fd), floor)
+            err = abs(ad - fd) / max(abs(ad), abs(fd), FLOOR)
             if err > worst:
                 worst = err
     return worst

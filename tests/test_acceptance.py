@@ -1,20 +1,21 @@
 """Acceptance gate: every exit criterion at its stated tolerance and runtime
 budget, one pass/fail line per criterion (run with -s to stream them).
 
-The mask criterion checks both mask modes against self-contained brute-force
-rule implementations over an exhaustive enumeration; single-image mode
-agreement is asserted for every row at or after the first image run (rows for
-text with no preceding image differ by design: video-mode text sees all
-frames, image-mode text sees only the pad block).
+The mask and cost criteria check `evlm` against the brute-force rules of
+`test_fusion` (`image_mask_oracle`, `video_mask_oracle`, over an exhaustive
+`gen_sequences` enumeration) and `test_flops` (`oracle_full`,
+`oracle_cross`). Single-image mode agreement is asserted for every row at
+or after the first image run (rows for text with no preceding image differ
+by design: video-mode text sees all frames, image-mode text sees only the
+pad block). Criterion 7 reads the session's one default `train-smoke` CLI
+run (`conftest.default_smoke_run`), and its budget covers that run's time.
 """
 
 import contextlib
 import random
-import subprocess
-import sys
 import time
-from fractions import Fraction
 
+from evlm.cli import RunConfig
 from evlm.flops import (
     FlopsScenario,
     flops_cross_attention_exact,
@@ -38,23 +39,26 @@ from evlm.model import (
     ModelConfig,
     caption_tokens,
     freeze_stage,
+    load_checkpoint,
     loss_probe,
     smoke_config,
     synthetic_patches,
-    train_smoke,
 )
 from evlm.moe import MoEConfig, moe_forward_nodes, upcycle
 from evlm.numerics import Tensor, derive_seed, grad_check, seeded_init
 from evlm.vision import EncoderConfig
-from test_cli import cli_env
+from test_cli import parse_record, run_cli
+from test_flops import oracle_cross, oracle_full
+from test_fusion import gen_sequences, image_mask_oracle, video_mask_oracle
 from test_model import decoder_only_logits
 from test_moe import apply_ffn, make_dense
 from test_numerics import dot
 
 
 @contextlib.contextmanager
-def criterion(num, name, limit_s):
-    start = time.perf_counter()
+def criterion(num, name, limit_s, spent_s=0.0):
+    """Times the block; spent_s is time the criterion used before it."""
+    start = time.perf_counter() - spent_s
     try:
         yield
     except BaseException:
@@ -133,77 +137,18 @@ def test_criterion_2_upcycling_identities():
 # -- 3: mask oracles over exhaustive enumeration -----------------------------------
 
 
-def _enumerate_sequences(max_len, max_images, media_len):
-    found = []
-
-    def rec(items, length, images):
-        if items:
-            found.append(list(items))
-        if length + 1 <= max_len:
-            items.append("T")
-            rec(items, length + 1, images)
-            items.pop()
-        if images < max_images and length + media_len <= max_len:
-            items.append("I")
-            rec(items, length + media_len, images + 1)
-            items.pop()
-
-    rec([], 0, 0)
-    for pattern in found:
-        parts = []
-        image = 0
-        for tok in pattern:
-            if tok == "I":
-                parts.append(ImageMarker(image))
-                image += 1
-            else:
-                parts.append(0)
-        yield insert_media_tokens(parts, media_len=media_len)
-
-
-def _image_rule(seq, s_img, pad_len):
-    cols = seq.num_images * s_img + pad_len
-    rows = []
-    for i, el in enumerate(seq.elements):
-        if isinstance(el, MediaSlot):
-            rows.append([el.image * s_img <= c < (el.image + 1) * s_img for c in range(cols)])
-        else:
-            prev = None
-            for e in reversed(seq.elements[:i]):
-                if isinstance(e, MediaSlot):
-                    prev = e.image
-                    break
-            row = []
-            for c in range(cols):
-                if c >= seq.num_images * s_img:
-                    row.append(True)
-                else:
-                    row.append(prev is not None and prev * s_img <= c < (prev + 1) * s_img)
-            rows.append(row)
-    return rows
-
-
-def _video_rule(seq, s_img, pad_len):
-    cols = seq.num_images * s_img + pad_len
-    rows = []
-    for el in seq.elements:
-        if isinstance(el, MediaSlot):
-            rows.append([el.image * s_img <= c < (el.image + 1) * s_img for c in range(cols)])
-        else:
-            rows.append([True] * cols)
-    return rows
-
-
 def test_criterion_3_mask_oracles():
     with criterion(3, "mask rule oracles (exhaustive)", 30):
         checked = 0
         for media_len in (1, 2):
-            for seq in _enumerate_sequences(8, 3, media_len):
+            for seq in gen_sequences(8, 3, media_len):
+                if not seq.elements:
+                    continue
                 for s_img, pad_len in ((1, 1), (2, 2)):
                     img = build_cross_mask_image(seq, s_img, pad_len)
                     vid = build_cross_mask_video(seq, s_img, pad_len)
-                    assert img == _image_rule(seq, s_img, pad_len)
-                    assert vid == _video_rule(seq, s_img, pad_len)
+                    assert img == image_mask_oracle(seq, s_img, pad_len)
+                    assert vid == video_mask_oracle(seq, s_img, pad_len)
                     for mask in (img, vid):
                         assert all(any(row) for row in mask)
                     if seq.num_images == 1:
@@ -217,27 +162,6 @@ def test_criterion_3_mask_oracles():
 
 
 # -- 4: cost-model fidelity -----------------------------------------------------------
-
-
-def _oracle_full(sc):
-    s = sc.s_img + sc.s_txt
-    return 24 * Fraction(sc.batch) * s * sc.h_llm**2 + 4 * Fraction(sc.batch) * s**2 * sc.h_llm
-
-
-def _oracle_cross(sc):
-    def rat(x):
-        f = Fraction(x).limit_denominator(1000)
-        return f if float(f) == x else Fraction(x)
-
-    rxc, rxf = rat(sc.r_xc), rat(sc.r_xf)
-    ms = sc.media_len + sc.s_txt
-    b, h = Fraction(sc.batch), Fraction(sc.h_llm)
-    return (
-        4 * (6 + rxc + rxf) * b * ms * h**2
-        + 4 * b * ms**2 * h
-        + 4 * rxc * b * sc.s_img * sc.d_img * h
-        + 4 * rxc * b * ms * sc.s_img * h
-    )
 
 
 def test_criterion_4_cost_model():
@@ -268,8 +192,8 @@ def test_criterion_4_cost_model():
                 r_xf=rng.choice([0.2, 0.5, 1.0, rng.uniform(1e-6, 1.0)]),
                 media_len=rng.choice([16, 1, 32]),
             )
-            got_full, want_full = float(flops_full_attention_exact(sc)), float(_oracle_full(sc))
-            got_cross, want_cross = float(flops_cross_attention_exact(sc)), float(_oracle_cross(sc))
+            got_full, want_full = float(flops_full_attention_exact(sc)), float(oracle_full(sc))
+            got_cross, want_cross = float(flops_cross_attention_exact(sc)), float(oracle_cross(sc))
             for got, want in ((got_full, want_full), (got_cross, want_cross)):
                 if got != want:
                     assert abs(got - want) / max(abs(got), abs(want)) < 1e-12
@@ -419,34 +343,30 @@ def test_criterion_6_freezing():
 # -- 7: smoke training + probe --------------------------------------------------------------
 
 
-def test_criterion_7_smoke_training_and_probe():
-    with criterion(7, "smoke training halves the loss; probe beats chance", 180):
-        cfg = smoke_config()
-        result = train_smoke(cfg, steps=200, seed=0, lr=0.5)
-        assert result.losses[-1] < 0.5 * result.losses[0], (
-            f"loss {result.losses[0]:.4f} -> {result.losses[-1]:.4f} did not halve"
-        )
+def test_criterion_7_smoke_training_and_probe(default_smoke_run):
+    out, ckpt, train_s = default_smoke_run
+    with criterion(7, "smoke training halves the loss; probe beats chance", 180, spent_s=train_s):
+        assert out.returncode == 0, out.stdout + out.stderr
+        rec = parse_record(out.stdout)
+        # the CLI defaults are this criterion's task
+        assert (rec["seed"], rec["steps"], rec["lr"], rec["stage"]) == ("0", "200", "0.5", "pretrain_phase1")
+        run = RunConfig(model=smoke_config())
+        assert (run.classes, run.per_class) == (4, 2)
+        initial, final = float(rec["initial"]), float(rec["final"])
+        assert final < 0.5 * initial, f"loss {initial:.4f} -> {final:.4f} did not halve"
+        model = load_checkpoint(str(ckpt))  # the trained model, bit for bit
+        assert model.cfg == smoke_config()
         candidates = [caption_tokens(c) for c in range(4)]
         hits = 0
         for c in range(4):
             for s in range(100, 110):  # held-out samples
-                patches = synthetic_patches(cfg.encoder, c, s, seed=0)
-                best, _ = loss_probe(result.model, patches, candidates)
+                patches = synthetic_patches(model.cfg.encoder, c, s, seed=0)
+                best, _ = loss_probe(model, patches, candidates)
                 hits += best == c
         assert hits >= 20, f"probe accuracy {hits}/40 below the 50% bar (chance is 25%)"
 
 
 # -- 8: CLI determinism ----------------------------------------------------------------------
-
-
-def _run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "evlm.cli", *args],
-        capture_output=True,
-        text=True,
-        env=cli_env(),
-        timeout=300,
-    )
 
 
 def test_criterion_8_cli_determinism(tmp_path):
@@ -466,12 +386,12 @@ def test_criterion_8_cli_determinism(tmp_path):
             ("upcycle-check", "--n", "4", "--m", "4", "--width", "6", "--hidden", "8"),
         ]
         for argv in commands:
-            a, b = _run_cli(*argv), _run_cli(*argv)
+            a, b = run_cli(*argv), run_cli(*argv)
             assert a.stdout == b.stdout and a.returncode == b.returncode, argv
-        ta = _run_cli("train-smoke", "--config", str(cfg), "--seed", "5", "--out", str(ckpt_a))
-        tb = _run_cli("train-smoke", "--config", str(cfg), "--seed", "5", "--out", str(ckpt_b))
+        ta = run_cli("train-smoke", "--config", str(cfg), "--seed", "5", "--out", str(ckpt_a))
+        tb = run_cli("train-smoke", "--config", str(cfg), "--seed", "5", "--out", str(ckpt_b))
         assert ta.stdout.replace(str(ckpt_a), "C") == tb.stdout.replace(str(ckpt_b), "C")
         assert ckpt_a.read_bytes() == ckpt_b.read_bytes()
-        pa = _run_cli("probe", "--checkpoint", str(ckpt_a), "--image", "1", "--candidates", "0,1")
-        pb = _run_cli("probe", "--checkpoint", str(ckpt_a), "--image", "1", "--candidates", "0,1")
+        pa = run_cli("probe", "--checkpoint", str(ckpt_a), "--image", "1", "--candidates", "0,1")
+        pb = run_cli("probe", "--checkpoint", str(ckpt_a), "--image", "1", "--candidates", "0,1")
         assert pa.stdout == pb.stdout and pa.returncode == pb.returncode == 0

@@ -323,11 +323,10 @@ def test_cost_overflow_is_numeric_failure():
     assert "numeric" in out.stderr
 
 
-def test_train_smoke_default_config_converges(tmp_path):
+def test_train_smoke_default_config_converges(default_smoke_run):
     """Built-in toy config, 200 steps: the convergence criterion is met and a
     probe on the produced checkpoint recovers a held-out class."""
-    ckpt = tmp_path / "default.ckpt"
-    out = run_cli("train-smoke", "--out", str(ckpt))
+    out, ckpt, _ = default_smoke_run
     assert out.returncode == 0, out.stdout + out.stderr
     rec = parse_record(out.stdout)
     assert rec["converged"] == "1"
