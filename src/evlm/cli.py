@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -271,6 +272,7 @@ def cmd_upcycle_check(args) -> int:
 # -- entry point ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process; parse_args fills a fresh namespace per call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="evlm", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -8,6 +8,7 @@ import contextlib
 import functools
 import math
 import os
+import sys
 from array import array
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping, Sequence
@@ -18,6 +19,7 @@ from .fusion import (
     ImageMarker,
     InterleavedSequence,
     Text,
+    branch_widths,
     build_cross_mask_image,
     build_cross_mask_video,
     build_padded_kv,
@@ -28,6 +30,7 @@ from .fusion import (
 from .layers import block, block_params
 from .moe import MoEConfig, RoutingStats, aux_loss_node, moe_forward_nodes, upcycle
 from .numerics import Graph, Init, Node, Tensor, derive_seed, seeded_init, zeros_init
+from .numerics.tensor import sha256
 from .vision import FFN_MULT, EncoderConfig, VisionEncoder, assign_taps_to_xattn
 
 ALL_GROUPS = (
@@ -561,7 +564,23 @@ def loss_probe(
 
 # -- checkpoints ----------------------------------------------------------------
 
-CHECKPOINT_MAGIC = "evlm-checkpoint v1"
+CHECKPOINT_MAGIC = "evlm-checkpoint v2"
+HEX_PER_FLOAT = 16  # one float64, 8 bytes, as hex
+
+
+def param_count(cfg: ModelConfig) -> int:
+    """The number of parameter floats FusedModel(cfg) holds, from the config
+    alone, so a checkpoint's size can be checked before any allocation."""
+    d, h, v = cfg.encoder.feature_dim, cfg.h_llm, cfg.vocab
+    block = lambda width, hidden: 4 * width * width + 4 * width + 2 * width * hidden
+    a, f = branch_widths(h, cfg.r_xc, cfg.r_xf)
+    ffn = 2 * h * f
+    if cfg.moe is not None:  # router, the FFN once per replica, the world expert's copy
+        ffn = h * cfg.moe.num_experts + ffn * (cfg.moe.n_replicas + cfg.moe.use_world_expert)
+    xattn = 2 * h * a + 2 * d * a + ffn + 2
+    vision = cfg.encoder.layers * block(d, FFN_MULT * d)
+    llm = (2 * v + cfg.max_seq + 2) * h + cfg.llm_layers * (block(h, cfg.ffn_mult * h) + xattn)
+    return vision + cfg.media_len * h + llm
 
 
 def _config_pairs(cfg: ModelConfig) -> list[tuple[str, str]]:
@@ -576,13 +595,39 @@ def _config_from_pairs(kv: Mapping[str, str]) -> ModelConfig:
     return ModelConfig(**config_values(ModelConfig, kv), moe=moe, encoder=encoder)
 
 
-def save_checkpoint(model: FusedModel, path: str) -> None:
-    """Flat text manifest: version, config echo, metadata, then per-parameter
-    group, name, shape, and repr'd float data (bit-exact round trip).
+def _hex_floats(values: list[float]) -> str:
+    """values as little-endian float64 bytes, in hex."""
+    packed = array("d", values)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed.tobytes().hex()
 
-    Written to a temporary file in the same directory and renamed over path,
-    so a write that fails partway leaves any previous checkpoint at path as it
-    was and removes the temporary file."""
+
+def _floats_from_hex(text: str) -> list[float]:
+    """The inverse of _hex_floats; ValueError on odd-length or non-hex text or
+    a byte count that is not a whole number of floats."""
+    packed = array("d", bytes.fromhex(text))
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed.tolist()
+
+
+def save_checkpoint(model: FusedModel, path: str) -> None:
+    """Write checkpoint v2, a line-oriented ASCII file:
+
+        evlm-checkpoint v2
+        config <key>=<value>           every scalar config field
+        meta <key>=<value>             the model's metadata, sorted by key
+        param <group> <name> <shape>   then the next line: the tensor's
+        <hex>                          float64 values, little-endian, in hex
+        ...                            (one such pair per parameter, by name)
+        end
+        sha256 <hex>                   the digest of every byte before it
+
+    The hex data round-trips every float bit for bit, -0.0 and subnormals
+    included. Written to a temporary file in the same directory and renamed
+    over path, so a write that fails partway leaves any previous checkpoint
+    at path as it was and removes the temporary file."""
     lines = [CHECKPOINT_MAGIC]
     lines.extend(f"config {k}={v}" for k, v in _config_pairs(model.cfg))
     lines.extend(f"meta {k}={v}" for k, v in sorted(model.meta.items()))
@@ -590,12 +635,14 @@ def save_checkpoint(model: FusedModel, path: str) -> None:
         t = model.params[name]
         shape = " ".join(str(s) for s in t.shape)
         lines.append(f"param {model.group_of[name]} {name} {shape}")
-        lines.append(" ".join(repr(v) for v in t.data))
+        lines.append(_hex_floats(t.data))
     lines.append("end")
+    body = ("\n".join(lines) + "\n").encode()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write(body)
+            fh.write(b"sha256 " + sha256(body).hexdigest().encode() + b"\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -603,16 +650,42 @@ def save_checkpoint(model: FusedModel, path: str) -> None:
         raise
 
 
-def load_checkpoint(path: str) -> FusedModel:
-    """Rebuild a model from a save_checkpoint manifest. Every parameter comes
-    from the file, so no random init is drawn. A malformed file (missing or
-    unknown config keys or parameters, a repeated config or meta key, a data
-    line whose value count does not match the shape, non-finite values, no
-    final `end` line) raises ConfigError."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
+def _checkpoint_lines(path: str) -> list[str]:
+    """The lines of the checkpoint at path before its sha256 trailer, once the
+    magic line, the trailer and the digest check out. Only the lines outlive
+    the call, so the file's bytes are freed before a model is built."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(CHECKPOINT_MAGIC.encode() + b"\n"):
         raise ConfigError(f"{path} is not a recognized checkpoint")
+    end = data.rfind(b"\nsha256 ") + 1  # where the trailer starts; 0 when there is none
+    if not end:
+        raise ConfigError(f"{path} has no sha256 trailer")
+    digest = data[end + len("sha256 ") :]
+    if len(digest) != 65 or not digest.endswith(b"\n"):  # 64 hex digits and a newline
+        raise ConfigError(f"{path} has a truncated or malformed sha256 trailer")
+    if data.startswith(b"sha256 ", data.rfind(b"\n", 0, end - 1) + 1):
+        raise ConfigError(f"{path} repeats its sha256 trailer")
+    body = memoryview(data)[:end]  # the digested bytes, not copied
+    if digest[:-1] != sha256(body).hexdigest().encode():
+        raise ConfigError(f"{path} does not match its sha256 digest: the file is corrupt")
+    try:
+        return str(body, "utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not text: {exc}") from exc
+
+
+def load_checkpoint(path: str) -> FusedModel:
+    """Rebuild a model from a save_checkpoint file; no random init is drawn.
+    Raises ConfigError, before any parsing, on a file that is not checkpoint
+    v2 (a v1 file included), a missing, truncated or repeated sha256 trailer
+    or a digest mismatch. Behind the digest it raises ConfigError on missing
+    or unknown config keys or parameters, a repeated config or meta key, a
+    config that implies more parameter floats than the file's data lines can
+    hold (checked before the model is built), a data line that is not hex or
+    whose value count does not match its shape, non-finite values, and no
+    final `end` line."""
+    lines = _checkpoint_lines(path)
     kv: dict[str, str] = {}
     meta: dict[str, str] = {}
     i = 1
@@ -633,6 +706,9 @@ def load_checkpoint(path: str) -> FusedModel:
     unknown = set(kv) - {key for key, _ in _config_pairs(cfg)}
     if unknown:
         raise ConfigError(f"unknown checkpoint config keys {sorted(unknown)}")
+    floats, room = param_count(cfg), sum(map(len, lines[i:])) // HEX_PER_FLOAT
+    if floats > room:
+        raise ConfigError(f"checkpoint config implies {floats} parameter floats; its data can hold at most {room}")
     model = FusedModel(cfg, seed=0, init=zeros_init)
     model.meta = meta
     seen: set[str] = set()
@@ -652,7 +728,7 @@ def load_checkpoint(path: str) -> FusedModel:
             raise ConfigError(f"group mismatch for {name}")
         try:
             # Tensor() checks the value count against the shape and finiteness
-            expect.data = Tensor(expect.shape, list(map(float, lines[i + 1].split()))).data
+            expect.data = Tensor(expect.shape, _floats_from_hex(lines[i + 1])).data
         except (ValueError, DimensionError, NonFiniteError) as exc:
             raise ConfigError(f"bad data for {name}: {exc}") from exc
         seen.add(name)

@@ -13,6 +13,7 @@ import pytest
 from evlm import cli
 from evlm.errors import EvlmError
 from evlm.model import save_checkpoint, smoke_config, train_smoke
+from test_model import edit_head_data, edit_checkpoint, reseal
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -239,12 +240,9 @@ def test_probe_negative_class_id_is_a_usage_error(tiny_run, image, candidates):
 
 def test_probe_rejects_truncated_parameter_data(tiny_run, tmp_path):
     _, ckpt, _ = tiny_run
-    lines = ckpt.read_text().splitlines()
-    i = next(i for i, line in enumerate(lines) if line.startswith("param llm llm.head ")) + 1
-    values = lines[i].split()
-    lines[i] = " ".join(values[: len(values) // 2])
     bad = tmp_path / "short.ckpt"
-    bad.write_text("\n".join(lines) + "\n")
+    bad.write_bytes(ckpt.read_bytes())
+    edit_checkpoint(bad, edit_head_data(lambda data: data[: len(data) // 2]))
     out = run_cli("probe", "--checkpoint", str(bad), "--image", "0", "--candidates", "0")
     assert out.returncode == 2 and out.stdout == ""
     assert "llm.head" in out.stderr and "Traceback" not in out.stderr
@@ -521,6 +519,15 @@ def test_repeat_invocations_byte_identical(argv):
     assert a.returncode == b.returncode
 
 
+def test_main_builds_one_parser_and_parses_each_call_afresh():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    argv = ["probe", "--checkpoint", "a.ckpt", "--image", "1", "--candidates", "0"]
+    first = parser.parse_args([*argv, "--seed", "3"])
+    second = parser.parse_args(argv)
+    assert first is not second and (first.seed, second.seed) == (3, None)
+
+
 # -- fuzzing --------------------------------------------------------------------------
 
 
@@ -582,7 +589,8 @@ def test_fuzzed_checkpoints_and_arguments_end_in_a_documented_exit_code(tmp_path
     mutant = tmp_path / "mutant.ckpt"
     probe = ["probe", "--checkpoint", str(mutant), "--image", "1", "--candidates", "0,1"]
     for i in range(60):
-        mutant.write_bytes(mutate_checkpoint(rng, original))
+        data = mutate_checkpoint(rng, original)
+        mutant.write_bytes(reseal(data) if i % 2 else data)  # resealed mutants reach the parser
         assert exit_code(probe) in {0, 2, 3, 4, 5}, f"checkpoint mutant {i}"
     for argv in [["upcycle-check", "--width", "0"]] + [mutate_argv(rng) for _ in range(200)]:
         assert exit_code(argv) in {0, 2, 3, 4, 5}, argv
@@ -592,23 +600,25 @@ FOOTPRINT_PROBE = """\
 import sys
 before = set(sys.modules)
 import evlm.cli
-from evlm.model import smoke_config, train_smoke
-train_smoke(smoke_config(), steps=1, seed=0)
+from evlm.model import save_checkpoint, smoke_config, train_smoke
+save_checkpoint(train_smoke(smoke_config(), steps=1, seed=0).model, sys.argv[1])
+assert evlm.cli.main(["probe", "--checkpoint", sys.argv[1], "--image", "1", "--candidates", "0,1"]) == 0
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_import_and_a_training_step_load_only_stdlib_modules_and_no_openssl():
-    # in a fresh interpreter: pytest itself has imported hashlib here
+def test_import_and_a_training_step_load_only_stdlib_modules_and_no_openssl(tmp_path):
+    # in a fresh interpreter: pytest itself has imported hashlib here; the
+    # child also writes a checkpoint and probes it
     done = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT_PROBE],
+        [sys.executable, "-c", FOOTPRINT_PROBE, str(tmp_path / "smoke.ckpt")],
         capture_output=True,
         text=True,
         env=cli_env(),
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    added = done.stdout.split()
+    added = done.stdout.splitlines()[-1].split()
     assert "evlm.cli" in added
     assert not {"hashlib", "_hashlib", "_ssl"} & set(added)
     foreign = [m for m in added if m.split(".")[0] not in sys.stdlib_module_names | {"evlm"}]

@@ -23,6 +23,7 @@ from evlm.model import (
     load_checkpoint,
     loss_probe,
     next_token_targets,
+    param_count,
     save_checkpoint,
     smoke_config,
     synthetic_patches,
@@ -116,7 +117,7 @@ def test_single_image_video_and_image_modes_agree():
     assert out_img.data == out_vid.data
 
 
-def test_forward_golden_logits(tmp_path):
+def test_forward_golden_logits():
     # straight-line reference recorded after the oracle-checked first build
     import pathlib
 
@@ -127,14 +128,11 @@ def test_forward_golden_logits(tmp_path):
     )
     images = rand_images(model, 2, 123)
     logits = model.forward(seq, images)
-    if not golden_path.exists():  # first verified run freezes the reference
-        golden_path.parent.mkdir(exist_ok=True)
-        golden_path.write_text(
-            " ".join(map(repr, logits.shape)) + "\n" + " ".join(map(repr, logits.data)) + "\n"
-        )
+    assert golden_path.exists(), f"missing reference {golden_path}"
     shape_line, data_line = golden_path.read_text().splitlines()
     assert tuple(int(s) for s in shape_line.split()) == logits.shape
     golden = [float(v) for v in data_line.split()]
+    assert len(golden) == math.prod(logits.shape)
     assert max(abs(a - b) for a, b in zip(logits.data, golden)) == 0.0
 
 
@@ -903,25 +901,55 @@ def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch, moe):
     assert loaded.loss(seq, images) == model.loss(seq, images)  # no stale copy of a parameter survives
 
 
-def _edit_head_data(edit):
+def reseal(data: bytes) -> bytes:
+    """data with its sha256 trailer (if any) replaced by the digest of what
+    comes before it, so an edited checkpoint reaches the checks behind the
+    digest."""
+    head, found, _ = data.rpartition(b"\nsha256 ")
+    body = (head if found else data.removesuffix(b"\n")) + b"\n"
+    return body + b"sha256 " + hashlib.sha256(body).hexdigest().encode() + b"\n"
+
+
+def edit_checkpoint(path, edit):
+    """Apply edit to the checkpoint's lines before its sha256 trailer and
+    write them back under a fresh digest."""
+    lines = path.read_text().splitlines()[:-1]
+    path.write_bytes(reseal(("\n".join(edit(lines)) + "\n").encode()))
+
+
+def edit_head_data(edit):
     def corrupt(lines):
         i = next(i for i, line in enumerate(lines) if line.startswith("param llm llm.head ")) + 1
-        return lines[:i] + [" ".join(edit(lines[i].split()))] + lines[i + 1 :]
+        return lines[:i] + [edit(lines[i])] + lines[i + 1 :]
 
     return corrupt
 
 
+NAN_HEX, INF_HEX = "000000000000f87f", "000000000000f07f"  # little-endian float64 bit patterns
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, message",
     [
-        _edit_head_data(lambda values: values[: len(values) // 2]),
-        _edit_head_data(lambda values: ["nan", *values[1:]]),
-        lambda lines: lines[:-1],  # no trailing end line
-        lambda lines: [line for line in lines if not line.startswith("config h_llm=")],
-        lambda lines: [line.replace("config heads=2", "config heads=0") for line in lines],
-        lambda lines: [line.replace("config moe.enabled=0", "config moe.enabled=true") for line in lines],
-        lambda lines: [line.replace("mask_mode=image", "mask_mode=image\nconfig mask_mode=video") for line in lines],
-        lambda lines: [lines[0], "meta seed=1", "meta seed=2", *lines[1:]],
+        (edit_head_data(lambda data: data[: len(data) // 2]), "bad data for llm.head: shape .* does not match"),
+        (edit_head_data(lambda data: NAN_HEX + data[16:]), "bad data for llm.head: non-finite"),
+        (lambda lines: lines[:-1], "single 'end' line"),  # no trailing end line
+        (lambda lines: [line for line in lines if not line.startswith("config h_llm=")], "missing 'h_llm'"),
+        (lambda lines: [line.replace("config heads=2", "config heads=0") for line in lines], "heads"),
+        (
+            lambda lines: [line.replace("config moe.enabled=0", "config moe.enabled=true") for line in lines],
+            "flag must be 0 or 1",
+        ),
+        (
+            lambda lines: [line.replace("mask_mode=image", "mask_mode=image\nconfig mask_mode=video") for line in lines],
+            "repeats config key mask_mode",
+        ),
+        (lambda lines: [lines[0], "meta seed=1", "meta seed=2", *lines[1:]], "repeats meta key seed"),
+        (edit_head_data(lambda data: data[:-16]), "bad data for llm.head: shape .* does not match"),
+        (edit_head_data(lambda data: data[:-1]), "bad data for llm.head: non-hexadecimal"),
+        (edit_head_data(lambda data: "zz" + data[2:]), "bad data for llm.head: non-hexadecimal"),
+        (edit_head_data(lambda data: data[:-2]), "bad data for llm.head: bytes length"),
+        (edit_head_data(lambda data: data[:16] + INF_HEX + data[32:]), "bad data for llm.head: non-finite"),
     ],
     ids=[
         "short_data",
@@ -932,15 +960,96 @@ def _edit_head_data(edit):
         "flag_not_0_or_1",
         "repeated_config_key",
         "repeated_meta_key",
+        "one_value_short",
+        "odd_length_hex",
+        "non_hex",
+        "partial_value",
+        "inf",
     ],
 )
-def test_checkpoint_rejects_malformed(tmp_path, corrupt):
+def test_checkpoint_rejects_malformed(tmp_path, corrupt, message):
     path = tmp_path / "model.ckpt"
     save_checkpoint(FusedModel(tiny_config(), seed=1), str(path))
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(corrupt(lines)) + "\n")
-    with pytest.raises(ConfigError):
+    edit_checkpoint(path, corrupt)
+    with pytest.raises(ConfigError, match=message):
         load_checkpoint(str(path))
+
+
+def _flip_data_digit(data):
+    i = data.index(b"\nparam llm llm.head ")
+    i = data.index(b"\n", i + 1) + 5  # a hex digit of the head's first value
+    return data[:i] + (b"1" if data[i : i + 1] == b"0" else b"0") + data[i + 1 :]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_flip_data_digit, "does not match its sha256 digest"),
+        (lambda data: data[: data.rindex(b"sha256 ")], "no sha256 trailer"),
+        (lambda data: data + data[data.rindex(b"sha256 ") :], "repeats its sha256 trailer"),
+        (lambda data: data[:-10], "truncated or malformed sha256 trailer"),
+    ],
+    ids=["stale_digest", "missing_trailer", "duplicated_trailer", "truncated_trailer"],
+)
+def test_checkpoint_rejects_a_bad_sha256_trailer(tmp_path, corrupt, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(FusedModel(tiny_config(), seed=1), str(path))
+    original = path.read_bytes()
+    path.write_bytes(corrupt(original))
+    assert path.read_bytes() != original
+    with pytest.raises(ConfigError, match=message):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_size_is_checked_before_the_model_is_built(tmp_path, monkeypatch):
+    import evlm.model
+
+    path = tmp_path / "smoke.ckpt"
+    save_checkpoint(FusedModel(smoke_config(), seed=0), str(path))
+    edit_checkpoint(path, lambda lines: [line.replace("config vocab=12", "config vocab=100000") for line in lines])
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("load_checkpoint built a model")
+
+    monkeypatch.setattr(evlm.model, "FusedModel", no_build)
+    floats = 11_332 + 2 * 16 * (100_000 - 12)  # the smoke model plus the longer embedding and head
+    with pytest.raises(ConfigError, match=rf"implies {floats} parameter floats; its data can hold at most \d+"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        smoke_config(),
+        tiny_config(),
+        tiny_config(moe=MoEConfig(n_replicas=2, segments=2, top_k=2)),
+        tiny_config(moe=MoEConfig(n_replicas=3, segments=2, top_k=1, use_world_expert=False), r_xf=0.25),
+        tiny_config(mask_mode="video", r_xc=0.25, ffn_mult=2, vocab=7, max_seq=40, media_len=3),
+    ],
+    ids=["smoke", "tiny", "moe", "moe_no_world", "video"],
+)
+def test_param_count_matches_the_built_model(cfg):
+    assert param_count(cfg) == sum(t.size for t in FusedModel(cfg, seed=0).params.values())
+
+
+def test_checkpoint_round_trips_every_float_bit(tmp_path):
+    model = FusedModel(tiny_config(), seed=3)
+    special = [-0.0, 5e-324, 2.2250738585072014e-309, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+    model.params["llm.ln_f.bias"].data[: len(special)] = special
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    loaded = load_checkpoint(str(path))
+    bits = lambda m: {name: array("d", t.data).tobytes() for name, t in m.params.items()}
+    assert bits(loaded) == bits(model)
+
+
+def test_checkpoint_data_is_little_endian_hex(tmp_path):
+    model = FusedModel(tiny_config(), seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    lines = path.read_text().splitlines()
+    gain = lines[lines.index("param llm llm.ln_f.gain 1 8") + 1]
+    assert gain == "000000000000f03f" * 8  # the gain starts at 1.0
 
 
 _SMOKE_CONFIG_LINES = [
@@ -1000,6 +1109,10 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_text("not a checkpoint\n")
     with pytest.raises(ConfigError):
+        load_checkpoint(str(path))
+    # a v1 checkpoint (repr'd float data, no digest) must be retrained
+    path.write_text("evlm-checkpoint v1\nconfig llm_layers=2\nparam llm llm.head 1 2\n0.5 -0.25\nend\n")
+    with pytest.raises(ConfigError, match="not a recognized checkpoint"):
         load_checkpoint(str(path))
 
 
