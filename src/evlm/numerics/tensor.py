@@ -25,6 +25,8 @@ except ImportError:
 
 Shape = tuple[int, ...]
 
+TWOPI = 2.0 * math.pi
+
 
 def derive_seed(root_seed: int, name: str) -> int:
     """Stable per-tensor seed from a root seed and a parameter name.
@@ -64,9 +66,27 @@ class Tensor:
 
     @classmethod
     def randn(cls, shape: Shape, seed: int, std: float = 1.0) -> "Tensor":
-        """Seeded Gaussian init; identical seed gives bit-identical data."""
-        rng = random.Random(seed)
-        return cls(shape, [rng.gauss(0.0, 1.0) * std for _ in range(math.prod(shape))])
+        """Seeded Gaussian init; identical seed gives bit-identical data.
+
+        Box-Muller over ``random.Random(seed).random()``, one pair of values
+        per two draws, the last ``sin`` value dropped for an odd count. This is
+        the arithmetic of ``gauss(0.0, 1.0) * std`` on CPython 3.10 and 3.11,
+        so it makes the same floats, but rests only on the ``random()`` stream,
+        which Python keeps across versions; ``0.0 +`` turns ``-0.0`` into
+        ``0.0`` as ``gauss`` does.
+        """
+        n = math.prod(shape)
+        rnd = random.Random(seed).random
+        cos, sin, sqrt, log = math.cos, math.sin, math.sqrt, math.log
+        data: list[float] = []
+        append = data.append
+        for _ in range((n + 1) // 2):
+            x2pi = rnd() * TWOPI
+            g2rad = sqrt(-2.0 * log(1.0 - rnd()))
+            append((0.0 + cos(x2pi) * g2rad) * std)
+            append((0.0 + sin(x2pi) * g2rad) * std)
+        del data[n:]
+        return cls(shape, data)
 
     # -- helpers --------------------------------------------------------
 

@@ -4,6 +4,7 @@ smoke training, the loss-argmin probe, and checkpoint round-trips."""
 import dataclasses
 import hashlib
 import math
+import pathlib
 import random
 import tracemalloc
 from array import array
@@ -119,8 +120,6 @@ def test_single_image_video_and_image_modes_agree():
 
 def test_forward_golden_logits():
     # straight-line reference recorded after the oracle-checked first build
-    import pathlib
-
     golden_path = pathlib.Path(__file__).parent / "data" / "golden_logits.txt"
     model = FusedModel(tiny_config(), seed=0)
     seq = insert_media_tokens(
@@ -134,6 +133,42 @@ def test_forward_golden_logits():
     golden = [float(v) for v in data_line.split()]
     assert len(golden) == math.prod(logits.shape)
     assert max(abs(a - b) for a, b in zip(logits.data, golden)) == 0.0
+
+
+# -- seeded init ------------------------------------------------------------------
+
+_INIT_CONFIGS = {
+    "smoke": smoke_config(),
+    # the train_moe_sft benchmark config (N=M=k=4), copied so the tests do not import perfbench
+    "moe": dataclasses.replace(
+        smoke_config(), moe=MoEConfig(n_replicas=4, segments=4, top_k=4, aux_loss_weight=0.01)
+    ),
+}
+
+
+@pytest.mark.parametrize("config", list(_INIT_CONFIGS))
+def test_seeded_init_is_pinned_per_tensor(config):
+    # one line per tensor: config, parameter name, sha256 of its float bytes at seed 0
+    pin_path = pathlib.Path(__file__).parent / "data" / "init_sha256.txt"
+    want = {}
+    for line in pin_path.read_text().splitlines():
+        key, name, digest = line.split()
+        if key == config:
+            want[name] = digest
+    model = FusedModel(_INIT_CONFIGS[config], seed=0)
+    got = {name: hashlib.sha256(array("d", t.data).tobytes()).hexdigest() for name, t in model.params.items()}
+    assert got == want
+
+
+def test_init_and_synthetic_images_draw_from_random_alone(monkeypatch):
+    # Python keeps Random.random()'s stream across versions, not gauss's
+    def no_gauss(self, mu=0.0, sigma=1.0):
+        raise AssertionError("Random.gauss called")
+
+    monkeypatch.setattr(random.Random, "gauss", no_gauss)
+    for cfg in _INIT_CONFIGS.values():
+        FusedModel(cfg, seed=0)
+    synthetic_patches(smoke_config().encoder, class_id=1, sample=2, seed=0)
 
 
 # -- loss and masking ---------------------------------------------------------------

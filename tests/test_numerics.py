@@ -5,6 +5,7 @@ import math
 import random
 import re
 import struct
+from array import array
 from operator import mul
 from pathlib import Path
 
@@ -589,6 +590,44 @@ def test_seeded_init_deterministic_and_independent():
     c = Tensor.randn((4, 4), derive_seed(0, "w2"), std=0.5)
     assert a.data == b.data
     assert a.data != c.data
+
+
+def randn_oracle(n, seed, std):
+    """One Random.gauss call per value: the draw Tensor.randn must equal bit for bit."""
+    rng = random.Random(seed)
+    return [rng.gauss(0.0, 1.0) * std for _ in range(n)]
+
+
+@pytest.mark.parametrize("std", [1.0, 0.25, 16**-0.5, 1e-300])
+def test_randn_equals_one_gauss_call_per_value_bit_for_bit(std):
+    # the odd sizes drop the sin value of the last pair
+    for seed in range(200):
+        for n in (1, 2, 3, 7, 40, 65):
+            got = Tensor.randn((n,), seed, std).data
+            assert array("d", got).tobytes() == array("d", randn_oracle(n, seed, std)).tobytes(), (seed, n)
+
+
+# std 1e308 overflows on most seeds of 200 and stays finite on a few (seed 196 is one)
+@pytest.mark.parametrize(
+    "std, outcomes", [(math.inf, {False}), (math.nan, {False}), (1e308, {False, True}), (1.0, {True})]
+)
+def test_randn_raises_non_finite_exactly_when_the_oracle_does(std, outcomes):
+    seen = set()
+    for seed in range(200):
+        finite = all(map(math.isfinite, randn_oracle(64, seed, std)))
+        seen.add(finite)
+        if finite:
+            assert len(Tensor.randn((8, 8), seed, std).data) == 64
+        else:
+            with pytest.raises(NonFiniteError):
+                Tensor.randn((8, 8), seed, std)
+    assert seen == outcomes
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 4), (4, 0)])
+def test_randn_rejects_a_zero_extent(shape):
+    with pytest.raises(DimensionError):
+        Tensor.randn(shape, 0)
 
 
 @pytest.mark.parametrize("seed", [0, 7, -3, 2**70])
