@@ -3,8 +3,9 @@ the loss-argmin probe, and the upcycling identity check.
 
 Exit codes are a stable contract: 0 success, 2 usage/config error,
 3 convergence criterion unmet, 4 numeric failure, 5 invariant violation.
-All randomness is controlled by the root seed; EVLM_SEED overrides config
-defaults (an explicit --seed flag outranks both).
+All randomness is controlled by the root seed. EVLM_SEED replaces the seed each
+command would use (train-smoke's config seed, the seed in a probed checkpoint's
+meta, upcycle-check's 0); an explicit --seed flag outranks it.
 """
 
 from __future__ import annotations

@@ -612,6 +612,17 @@ def _floats_from_hex(text: str) -> list[float]:
     return packed.tolist()
 
 
+def _layout(model: FusedModel) -> list[tuple[str, str | None]]:
+    """Every line save_checkpoint writes before `end` but the data lines, in
+    file order, each with the name of the parameter whose data line follows
+    it (None for a line with no data after it)."""
+    head = [CHECKPOINT_MAGIC, *(f"config {k}={v}" for k, v in _config_pairs(model.cfg))]
+    head += (f"meta {k}={v}" for k, v in sorted(model.meta.items()))
+    shape = lambda name: " ".join(str(s) for s in model.params[name].shape)
+    params = [(f"param {model.group_of[n]} {n} {shape(n)}", n) for n in sorted(model.params)]
+    return [(line, None) for line in head] + params
+
+
 def save_checkpoint(model: FusedModel, path: str) -> None:
     """Write checkpoint v2, a line-oriented ASCII file:
 
@@ -625,17 +636,17 @@ def save_checkpoint(model: FusedModel, path: str) -> None:
         sha256 <hex>                   the digest of every byte before it
 
     The hex data round-trips every float bit for bit, -0.0 and subnormals
-    included. Written to a temporary file in the same directory and renamed
-    over path, so a write that fails partway leaves any previous checkpoint
-    at path as it was and removes the temporary file."""
-    lines = [CHECKPOINT_MAGIC]
-    lines.extend(f"config {k}={v}" for k, v in _config_pairs(model.cfg))
-    lines.extend(f"meta {k}={v}" for k, v in sorted(model.meta.items()))
-    for name in sorted(model.params):
-        t = model.params[name]
-        shape = " ".join(str(s) for s in t.shape)
-        lines.append(f"param {model.group_of[name]} {name} {shape}")
-        lines.append(_hex_floats(t.data))
+    included. Meta that would not read back as written (a key holding `=`,
+    a line break in a key or value) raises ConfigError before any file is
+    made. Written to a temporary file in the same directory and renamed over
+    path, so a write that fails partway leaves any previous checkpoint at
+    path as it was and removes the temporary file."""
+    for key, value in model.meta.items():
+        if "=" in key or "".join((key + value).splitlines()) != key + value:
+            raise ConfigError(f"meta {key!r}={value!r} would not read back: no '=' in a key, no line breaks")
+    lines = []
+    for line, name in _layout(model):
+        lines += [line] if name is None else [line, _hex_floats(model.params[name].data)]
     lines.append("end")
     body = ("\n".join(lines) + "\n").encode()
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -677,14 +688,11 @@ def _checkpoint_lines(path: str) -> list[str]:
 
 def load_checkpoint(path: str) -> FusedModel:
     """Rebuild a model from a save_checkpoint file; no random init is drawn.
-    Raises ConfigError, before any parsing, on a file that is not checkpoint
-    v2 (a v1 file included), a missing, truncated or repeated sha256 trailer
-    or a digest mismatch. Behind the digest it raises ConfigError on missing
-    or unknown config keys or parameters, a repeated config or meta key, a
-    config that implies more parameter floats than the file's data lines can
-    hold (checked before the model is built), a data line that is not hex or
-    whose value count does not match its shape, non-finite values, and no
-    final `end` line."""
+    The file loads iff its sha256 digest holds, its lines other than the
+    data lines are exactly those save_checkpoint writes for its config and
+    meta, and its data lines parse to finite values of the right count.
+    Anything else raises ConfigError; a config that implies more parameter
+    floats than the data lines can hold does so before the model is built."""
     lines = _checkpoint_lines(path)
     kv: dict[str, str] = {}
     meta: dict[str, str] = {}
@@ -703,39 +711,28 @@ def load_checkpoint(path: str) -> FusedModel:
         raise ConfigError(f"checkpoint config is missing {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad checkpoint config value: {exc}") from exc
-    unknown = set(kv) - {key for key, _ in _config_pairs(cfg)}
-    if unknown:
-        raise ConfigError(f"unknown checkpoint config keys {sorted(unknown)}")
     floats, room = param_count(cfg), sum(map(len, lines[i:])) // HEX_PER_FLOAT
     if floats > room:
         raise ConfigError(f"checkpoint config implies {floats} parameter floats; its data can hold at most {room}")
     model = FusedModel(cfg, seed=0, init=zeros_init)
     model.meta = meta
-    seen: set[str] = set()
-    while i < len(lines) and lines[i] != "end":
-        head = lines[i].split()
-        if len(head) < 4 or head[0] != "param" or i + 1 == len(lines):
-            raise ConfigError(f"malformed checkpoint line: {lines[i]!r}")
-        _, group, name, *shape = head
-        if name not in model.params:
-            raise ConfigError(f"checkpoint has unknown parameter {name}")
-        if name in seen:
-            raise ConfigError(f"checkpoint repeats parameter {name}")
-        expect = model.params[name]
-        if shape != [str(s) for s in expect.shape]:
-            raise ConfigError(f"shape mismatch for {name}")
-        if model.group_of[name] != group:
-            raise ConfigError(f"group mismatch for {name}")
+    if lines[-1] != "end":
+        raise ConfigError(f"{path} does not end with a single 'end' line")
+    data: list[tuple[str, str]] = []  # (parameter name, its data line)
+    shown = lambda line: "nothing" if line is None else repr(line)
+    i = 0
+    for want, name in [*_layout(model), ("end", None), (None, None)]:  # None: no line, past the end
+        got = lines[i] if i < len(lines) else None
+        if got != want:
+            raise ConfigError(f"checkpoint line {i + 1} reads {shown(got)}, where save_checkpoint writes {shown(want)}")
+        if name is not None:
+            data.append((name, lines[i + 1]))
+        i += 1 if name is None else 2
+    for name, text in data:
+        t = model.params[name]
         try:
             # Tensor() checks the value count against the shape and finiteness
-            expect.data = Tensor(expect.shape, _floats_from_hex(lines[i + 1])).data
+            t.data = Tensor(t.shape, _floats_from_hex(text)).data
         except (ValueError, DimensionError, NonFiniteError) as exc:
             raise ConfigError(f"bad data for {name}: {exc}") from exc
-        seen.add(name)
-        i += 2
-    if lines[i:] != ["end"]:
-        raise ConfigError(f"{path} does not end with a single 'end' line")
-    if seen != set(model.params):
-        missing = sorted(set(model.params) - seen)
-        raise ConfigError(f"checkpoint missing parameters, e.g. {missing[:3]}")
     return model

@@ -596,6 +596,25 @@ def test_fuzzed_checkpoints_and_arguments_end_in_a_documented_exit_code(tmp_path
         assert exit_code(argv) in {0, 2, 3, 4, 5}, argv
 
 
+def test_fuzzed_param_header_lines_exit_2(tmp_path):
+    # its own generator, so the mutants of the test above stay as they are
+    rng = random.Random(2025)
+    ckpt = tmp_path / "smoke.ckpt"
+    save_checkpoint(train_smoke(smoke_config(), steps=0, seed=0).model, str(ckpt))
+    original = ckpt.read_bytes()
+    lines = original.split(b"\n")
+    heads = [k for k, line in enumerate(lines) if line.startswith(b"param ")]
+    mutant = tmp_path / "mutant.ckpt"
+    probe = ["probe", "--checkpoint", str(mutant), "--image", "1", "--candidates", "0,1"]
+    for i in range(60):
+        k = rng.choice(heads)
+        j = rng.randrange(len(lines[k]))
+        line = lines[k][:j] + bytes([rng.choice(b"0123456789 ._-=abegilmnoprstvx\n\r\xff")]) + lines[k][j + 1 :]
+        data = reseal(b"\n".join(lines[:k] + [line] + lines[k + 1 :]))
+        mutant.write_bytes(data)
+        assert exit_code(probe) == 2 or data == original, f"param header mutant {i}: {line!r}"
+
+
 FOOTPRINT_PROBE = """\
 import sys
 before = set(sys.modules)

@@ -960,6 +960,27 @@ def edit_head_data(edit):
     return corrupt
 
 
+def edit_ln_f(edit):
+    """A corrupt for edit_checkpoint: the four lines of llm.ln_f.bias and
+    llm.ln_f.gain (param line, data line, one after the other in name order)
+    replaced by edit(those lines). The bias holds few enough floats that a
+    file without it still passes the size check."""
+
+    def corrupt(lines):
+        i = lines.index("param llm llm.ln_f.bias 1 8")
+        return lines[:i] + edit(lines[i : i + 4]) + lines[i + 4 :]
+
+    return corrupt
+
+
+def insert_before_params(*new):
+    def corrupt(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith("param "))
+        return lines[:i] + list(new) + lines[i:]
+
+    return corrupt
+
+
 NAN_HEX, INF_HEX = "000000000000f87f", "000000000000f07f"  # little-endian float64 bit patterns
 
 
@@ -985,6 +1006,25 @@ NAN_HEX, INF_HEX = "000000000000f87f", "000000000000f07f"  # little-endian float
         (edit_head_data(lambda data: "zz" + data[2:]), "bad data for llm.head: non-hexadecimal"),
         (edit_head_data(lambda data: data[:-2]), "bad data for llm.head: bytes length"),
         (edit_head_data(lambda data: data[:16] + INF_HEX + data[32:]), "bad data for llm.head: non-finite"),
+        (lambda lines: [line.replace("llm llm.head ", "llm llm.hexd ") for line in lines], "llm.hexd"),
+        (edit_ln_f(lambda four: four[:2] + four), "llm.ln_f.bias"),
+        (lambda lines: [line.replace("llm.head 8 11", "llm.head 11 8") for line in lines], "llm.head"),
+        (lambda lines: [line.replace("param llm llm.head ", "param xattn llm.head ") for line in lines], "llm.head"),
+        (edit_ln_f(lambda four: four[2:]), "llm.ln_f.bias"),
+        (lambda lines: [lines[0], "config bogus=1", *lines[1:]], "bogus"),
+        (
+            edit_ln_f(lambda four: four[2:] + four[:2]),
+            "reads 'param llm llm.ln_f.gain 1 8', where save_checkpoint writes 'param llm llm.ln_f.bias 1 8'",
+        ),
+        (
+            lambda lines: [line.replace("config h_llm=8", "config h_llm=08") for line in lines],
+            "reads 'config h_llm=08', where save_checkpoint writes 'config h_llm=8'",
+        ),
+        (insert_before_params("meta b=1", "meta a=2"), "reads 'meta b=1', where save_checkpoint writes 'meta a=2'"),
+        (
+            lambda lines: [lines[0], "meta seed=1", *lines[1:]],
+            "reads 'meta seed=1', where save_checkpoint writes 'config llm_layers=2'",
+        ),
     ],
     ids=[
         "short_data",
@@ -1000,6 +1040,16 @@ NAN_HEX, INF_HEX = "000000000000f87f", "000000000000f07f"  # little-endian float
         "non_hex",
         "partial_value",
         "inf",
+        "unknown_parameter",
+        "repeated_parameter",
+        "swapped_shape",
+        "wrong_group",
+        "missing_parameter",
+        "unknown_config_key",
+        "parameters_out_of_order",
+        "non_canonical_config_value",
+        "unsorted_meta",
+        "config_after_meta",
     ],
 )
 def test_checkpoint_rejects_malformed(tmp_path, corrupt, message):
@@ -1008,6 +1058,63 @@ def test_checkpoint_rejects_malformed(tmp_path, corrupt, message):
     edit_checkpoint(path, corrupt)
     with pytest.raises(ConfigError, match=message):
         load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (
+            lambda lines: [line.replace("config h_llm=8", "config h_llm=08") for line in lines],
+            "checkpoint line 3 reads 'config h_llm=08', where save_checkpoint writes 'config h_llm=8'",
+        ),
+        # the tiny checkpoint has 143 lines before its sha256 trailer, the last one `end`
+        (lambda lines: lines + ["end"], "checkpoint line 144 reads 'end', where save_checkpoint writes nothing"),
+        (lambda lines: lines[:-2] + ["end"], "checkpoint line 143 reads nothing, where save_checkpoint writes 'end'"),
+    ],
+    ids=["changed_line", "extra_line", "missing_line"],
+)
+def test_checkpoint_header_error_names_the_first_differing_line(tmp_path, corrupt, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(FusedModel(tiny_config(), seed=1), str(path))
+    edit_checkpoint(path, corrupt)
+    with pytest.raises(ConfigError) as exc:
+        load_checkpoint(str(path))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [{"a=b": "c"}, {"note": "x\ny"}, {"a\u2028b": "c"}],
+    ids=["equals_in_key", "newline_in_value", "line_separator_in_key"],
+)
+def test_checkpoint_meta_that_would_not_read_back_is_refused(tmp_path, meta):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(FusedModel(tiny_config(), seed=1), str(path))
+    before = path.read_bytes()
+    model = FusedModel(tiny_config(), seed=2)
+    model.meta = meta
+    with pytest.raises(ConfigError, match="would not read back"):
+        save_checkpoint(model, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_checkpoint_meta_round_trips(tmp_path):
+    model = FusedModel(tiny_config(), seed=1)
+    model.meta = {"a": "b=c", "note": "x  y ", "": ""}
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    assert load_checkpoint(str(path)).meta == model.meta
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    model = FusedModel(smoke_config(), seed=0)
+    model.meta = {"seed": "0", "classes": "4"}
+    path = tmp_path / "smoke.ckpt"
+    save_checkpoint(model, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "5b63cdde17eaacdefbb2c7e5bb970e3ed2e9550dbc065a4dea73b2200f073de5"
+    )
 
 
 def _flip_data_digit(data):
