@@ -331,11 +331,6 @@ class FusedModel:
         x = g.layer_norm(x, nodes["llm.ln_f.gain"], nodes["llm.ln_f.bias"])
         return g.matmul(x, nodes["llm.head"])
 
-    def forward(self, seq: InterleavedSequence, images: Sequence[Tensor] = ()) -> Tensor:
-        g = Graph()
-        nodes = self.param_nodes(g)
-        return self.forward_nodes(g, seq, self.encode_images(g, images, nodes), nodes).t
-
     # -- loss ----------------------------------------------------------------
 
     def loss_nodes(self, g: Graph, logits: Node, seq: InterleavedSequence) -> Node:
@@ -343,9 +338,6 @@ class FusedModel:
         if not any(mask):
             raise ContractViolationError("sequence has no text predictions to score")
         return g.cross_entropy(logits, tgt, mask)
-
-    def loss(self, seq: InterleavedSequence, images: Sequence[Tensor] = ()) -> float:
-        return self.losses([seq], images)[0]
 
     def losses(self, seqs: Sequence[InterleavedSequence], images: Sequence[Tensor] = ()) -> list[float]:
         """The loss of each stream over the same images.

@@ -106,16 +106,6 @@ def route_nodes(g: Graph, logits: Node, k: int) -> tuple[list[list[int]], Node]:
     return chosen, g.softmax_masked(logits, [[e in c for e in range(n_exp)] for c in chosen])
 
 
-def route(x: Tensor, router: Tensor, k: int) -> tuple[list[int], list[float]]:
-    """route_nodes for one token under the router (h, N*M): its k expert
-    indices and their gates."""
-    if x.shape != (1, router.shape[0]):
-        raise DimensionError(f"route expects (1, {router.shape[0]}), got {x.shape}")
-    g = Graph()
-    (chosen,), gates = route_nodes(g, g.matmul(g.param(x), g.param(router)), k)
-    return chosen, [gates.t.data[e] for e in chosen]
-
-
 def moe_forward_nodes(
     g: Graph,
     x: Node,
@@ -184,23 +174,11 @@ def moe_forward_nodes(
     return out
 
 
-def aux_load_balance_loss(stats: RoutingStats) -> float:
-    """Load-balance penalty NM * sum_e f_e * P_e (pre-weight).
+def aux_loss_node(g: Graph, stats: RoutingStats) -> Node:
+    """Load-balance penalty NM * sum_e f_e * P_e (pre-weight), as a node.
 
     f_e is expert e's fraction of routing slots and P_e its mean full-softmax
-    probability; perfectly uniform routing scores exactly 1.
-    """
-    if stats.tokens == 0:
-        return 0.0
-    slots = sum(stats.assignments)
-    n = stats.num_experts
-    return n * sum(
-        (a / slots) * (p / stats.tokens) for a, p in zip(stats.assignments, stats.prob_sums)
-    )
-
-
-def aux_loss_node(g: Graph, stats: RoutingStats) -> Node:
-    """Differentiable counterpart of aux_load_balance_loss; gradients reach
+    probability; perfectly uniform routing scores exactly 1. Gradients reach
     the router through the softmax probabilities while the routed fractions
     are treated as locally constant."""
     if not stats.prob_nodes:

@@ -45,14 +45,14 @@ from evlm.model import (
     synthetic_patches,
 )
 from evlm.moe import MoEConfig, moe_forward_nodes, upcycle
-from evlm.numerics import Tensor, derive_seed, grad_check, seeded_init
+from evlm.numerics import Tensor, derive_seed, seeded_init
 from evlm.vision import EncoderConfig
 from test_cli import parse_record, run_cli
 from test_flops import oracle_cross, oracle_full
 from test_fusion import gen_sequences, image_mask_oracle, video_mask_oracle
-from test_model import decoder_only_logits
+from test_model import decoder_only_logits, forward
 from test_moe import apply_ffn, make_dense
-from test_numerics import dot
+from test_numerics import dot, grad_check
 
 
 @contextlib.contextmanager
@@ -104,7 +104,7 @@ def test_criterion_1_gate_zero_identity():
                 Tensor.randn((enc.patch_count, enc.feature_dim), derive_seed(trial, f"img{i}"))
                 for i in range(2)
             ]
-            fused = model.forward(seq, images)
+            fused = forward(model, seq, images)
             plain = decoder_only_logits(model, seq)
             worst = max(abs(a - b) for a, b in zip(fused.data, plain.data))
             assert worst <= 1e-12, f"trial {trial}: max deviation {worst}"

@@ -21,8 +21,8 @@ from evlm.fusion import (
     insert_media_tokens,
     xattn_params,
 )
-from evlm.numerics import Graph, Tensor, derive_seed, grad_check, seeded_init
-from test_numerics import dot
+from evlm.numerics import Graph, Tensor, derive_seed, seeded_init
+from test_numerics import dot, grad_check
 
 
 # -- sequence construction -----------------------------------------------------

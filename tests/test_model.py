@@ -31,9 +31,10 @@ from evlm.model import (
     train_smoke,
 )
 from evlm.moe import MoEConfig
-from evlm.numerics import Graph, Node, Tensor, derive_seed, grad_check
+from evlm.numerics import Graph, Node, Tensor, derive_seed
 from evlm.vision import EncoderConfig
 from test_moe import RecordingNodes
+from test_numerics import grad_check
 
 
 def tiny_config(**overrides):
@@ -71,6 +72,18 @@ def mixed_sequence(model, rng, num_images=2):
 # -- composed forward ------------------------------------------------------------
 
 
+def forward(model, seq, images=()):
+    """The logits of one stream over its images, in a fresh graph."""
+    g = Graph()
+    nodes = model.param_nodes(g)
+    return model.forward_nodes(g, seq, model.encode_images(g, images, nodes), nodes).t
+
+
+def stream_loss(model, seq, images=()):
+    """The loss of one stream over its images."""
+    return model.losses([seq], images)[0]
+
+
 def decoder_only_logits(model, seq):
     """The reference text decoder: the model's embeddings, decoder blocks,
     final norm and head, with no cross-attention layer between the blocks."""
@@ -90,7 +103,7 @@ def test_gate_zero_identity_composed():
     for trial in range(3):
         seq = mixed_sequence(model, rng)
         images = rand_images(model, seq.num_images, trial)
-        fused = model.forward(seq, images)
+        fused = forward(model, seq, images)
         text_only = decoder_only_logits(model, seq)
         assert fused.data == text_only.data  # bit-exact through zero gates
 
@@ -98,7 +111,7 @@ def test_gate_zero_identity_composed():
 def test_no_images_reduces_to_text_decoder():
     model = FusedModel(tiny_config(), seed=4)
     seq = insert_media_tokens([1, 2, 3], media_len=model.cfg.media_len)
-    fused = model.forward(seq, [])
+    fused = forward(model, seq, [])
     text_only = decoder_only_logits(model, seq)
     assert fused.data == text_only.data
     mask = build_cross_mask_image(seq, model.cfg.encoder.patch_count, model.cfg.pad_len)
@@ -113,8 +126,8 @@ def test_single_image_video_and_image_modes_agree():
                 t.data[0] = 0.4  # open the gates so the masks actually matter
     seq = caption_sequence(model.cfg, 1)
     images = rand_images(model, 1, 9)
-    out_img = model.forward(seq, images)
-    out_vid = video_model.forward(seq, images)
+    out_img = forward(model, seq, images)
+    out_vid = forward(video_model, seq, images)
     assert out_img.data == out_vid.data
 
 
@@ -126,7 +139,7 @@ def test_forward_golden_logits():
         [1, ImageMarker(0), 4, 7, ImageMarker(1), 2], media_len=model.cfg.media_len
     )
     images = rand_images(model, 2, 123)
-    logits = model.forward(seq, images)
+    logits = forward(model, seq, images)
     assert golden_path.exists(), f"missing reference {golden_path}"
     shape_line, data_line = golden_path.read_text().splitlines()
     assert tuple(int(s) for s in shape_line.split()) == logits.shape
@@ -186,7 +199,7 @@ def test_loss_ignores_media_position_logits():
     model = FusedModel(tiny_config(), seed=6)
     seq = insert_media_tokens([ImageMarker(0), 5, 6], media_len=2)
     images = rand_images(model, 1, 1)
-    logits = model.forward(seq, images)
+    logits = forward(model, seq, images)
     g = Graph()
     targets, mask = next_token_targets(seq)
     base = g.cross_entropy(g.param(logits), targets, mask).t.item()
@@ -202,8 +215,8 @@ def test_pure_text_loss_equals_plain_lm_loss():
     model = FusedModel(tiny_config(), seed=7)
     tokens = [1, 4, 2, 9]
     seq = insert_media_tokens(tokens, media_len=model.cfg.media_len)
-    got = model.loss(seq, [])
-    logits = model.forward(seq, [])
+    got = stream_loss(model, seq, [])
+    logits = forward(model, seq, [])
     total = 0.0
     for i in range(len(tokens) - 1):
         row = logits.data[i * logits.cols : (i + 1) * logits.cols]
@@ -217,8 +230,8 @@ def test_all_media_plus_one_text_scores_single_position():
     model = FusedModel(tiny_config(), seed=8)
     seq = insert_media_tokens([ImageMarker(0), 3], media_len=2)
     images = rand_images(model, 1, 2)
-    logits = model.forward(seq, images)
-    got = model.loss(seq, images)
+    logits = forward(model, seq, images)
+    got = stream_loss(model, seq, images)
     row = logits.data[logits.cols : 2 * logits.cols]  # last media slot predicts the lone text token
     top = max(row)
     want = math.log(sum(math.exp(x - top) for x in row)) + top - row[3]
@@ -229,7 +242,7 @@ def test_loss_requires_text_predictions():
     model = FusedModel(tiny_config(), seed=9)
     seq = insert_media_tokens([ImageMarker(0)], media_len=2)
     with pytest.raises(ContractViolationError):
-        model.loss(seq, rand_images(model, 1, 3))
+        stream_loss(model, seq, rand_images(model, 1, 3))
 
 
 def test_mixed_batch_loss_matches_masked_nll_oracle():
@@ -238,8 +251,8 @@ def test_mixed_batch_loss_matches_masked_nll_oracle():
     for trial in range(3):
         seq = mixed_sequence(model, rng)
         images = rand_images(model, seq.num_images, 50 + trial)
-        got = model.loss(seq, images)
-        logits = model.forward(seq, images)
+        got = stream_loss(model, seq, images)
+        logits = forward(model, seq, images)
         targets, mask = next_token_targets(seq)
         total, count = 0.0, 0
         for i in range(len(seq)):
@@ -545,7 +558,7 @@ def test_a_forward_only_call_between_steps_leaves_the_next_step_unchanged(case):
     # the forward-only calls encode with no frozen prefix, through the same cache as the steps
     model, batch, trainable = prefix_case(case)
     model.sgd_step(batch, lr=0.5, trainable_groups=trainable)
-    model.loss(*batch[0])
+    stream_loss(model, *batch[0])
     model.losses([seq for seq, _ in batch[1:]], batch[1][1])
     fresh = FusedModel(model.cfg, seed=0)
     for name, t in fresh.params.items():
@@ -732,7 +745,7 @@ def test_probe_losses_equal_per_candidate_loss(monkeypatch, overrides):
     # a small alphabet and mixed lengths, so contexts are shared in groups
     candidates = [[rng.randrange(3) for _ in range(rng.randint(1, 4))] for _ in range(30)]
     seqs = [insert_media_tokens([ImageMarker(0), *c], media_len=model.cfg.media_len) for c in candidates]
-    want = [model.loss(seq, [patches]) for seq in seqs]
+    want = [stream_loss(model, seq, [patches]) for seq in seqs]
 
     forwards = []
     forward_nodes = FusedModel.forward_nodes
@@ -872,7 +885,7 @@ def test_stream_with_other_media_len_than_the_model_rejected(media_len):
     model = FusedModel(tiny_config(), seed=2)  # media_len=2
     seq = insert_media_tokens([ImageMarker(0), 1, 2], media_len=media_len)
     with pytest.raises(SequenceError) as exc:
-        model.loss(seq, rand_images(model, 1, 3))
+        stream_loss(model, seq, rand_images(model, 1, 3))
     assert f"{media_len} media slots" in str(exc.value) and "model 2" in str(exc.value)
 
 
@@ -933,7 +946,7 @@ def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch, moe):
     loaded = load_checkpoint(str(path))
     assert loaded.cfg == model.cfg
     assert {n: t.data for n, t in loaded.params.items()} == {n: t.data for n, t in model.params.items()}
-    assert loaded.loss(seq, images) == model.loss(seq, images)  # no stale copy of a parameter survives
+    assert stream_loss(loaded, seq, images) == stream_loss(model, seq, images)  # no stale copy of a parameter survives
 
 
 def reseal(data: bytes) -> bytes:

@@ -8,18 +8,9 @@ import pytest
 
 from evlm.errors import ConfigError, DimensionError
 from evlm.layers import ffn, ffn_params
-from evlm.moe import (
-    MoEConfig,
-    RoutingStats,
-    aux_load_balance_loss,
-    aux_loss_node,
-    moe_forward_nodes,
-    route,
-    top_k,
-    upcycle,
-)
-from evlm.numerics import Graph, Tensor, derive_seed, grad_check, seeded_init
-from test_numerics import dot
+from evlm.moe import MoEConfig, RoutingStats, aux_loss_node, moe_forward_nodes, route_nodes, top_k, upcycle
+from evlm.numerics import Graph, Tensor, derive_seed, seeded_init
+from test_numerics import dot, grad_check
 
 
 def make_dense(h=6, hidden=8, seed=0):
@@ -105,6 +96,16 @@ def test_upcycle_rejects_indivisible_hidden():
 
 
 # -- route ------------------------------------------------------------------
+
+
+def route(x, router, k):
+    """route_nodes for one token x (1, h) under the router (h, N*M): its k
+    expert indices and their gates."""
+    if x.shape != (1, router.shape[0]):
+        raise DimensionError(f"route expects (1, {router.shape[0]}), got {x.shape}")
+    g = Graph()
+    (chosen,), gates = route_nodes(g, g.matmul(g.param(x), g.param(router)), k)
+    return chosen, [gates.t.data[e] for e in chosen]
 
 
 def test_route_zero_router_ties_break_low():
@@ -441,6 +442,18 @@ def test_one_call_issues_an_exact_number_of_graph_ops(monkeypatch, k, n_tok, wit
 
 
 # -- aux loss ----------------------------------------------------------------------
+
+
+def aux_load_balance_loss(stats):
+    """The plain-float value of aux_loss_node's penalty, NM * sum_e f_e * P_e,
+    from the stats' routed slots and probability sums alone."""
+    if stats.tokens == 0:
+        return 0.0
+    slots = sum(stats.assignments)
+    n = stats.num_experts
+    return n * sum(
+        (a / slots) * (p / stats.tokens) for a, p in zip(stats.assignments, stats.prob_sums)
+    )
 
 
 def test_aux_loss_uniform_routing_is_one():

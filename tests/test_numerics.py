@@ -1,11 +1,13 @@
 """Tensor kernel and autodiff tests against independent hand-rolled oracles."""
 
+import ast
 import hashlib
 import math
 import random
 import re
 import struct
 from array import array
+from collections import Counter
 from operator import mul
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 
 import evlm
 from evlm.errors import ContractViolationError, DimensionError, NonFiniteError
-from evlm.numerics import Graph, Tensor, derive_seed, grad_check
+from evlm.numerics import Graph, Tensor, derive_seed
 from evlm.numerics.graph import _DOT_CAP, mm_abt_data, mm_data
 
 
@@ -60,6 +62,57 @@ def cross_entropy_oracle(logits, targets, mask):
 
 def rand_matrix(rng, m, n, scale=1.0):
     return [[rng.uniform(-scale, scale) for _ in range(n)] for _ in range(m)]
+
+
+# -- central-difference gradient check -----------------------------------------
+
+H = 1e-5  # central-difference step
+FLOOR = 1e-6  # smallest denominator of the relative error
+
+
+def _eval_loss(build_loss, params):
+    g = Graph()
+    nodes = [g.param(p) for p in params]
+    value = build_loss(g, nodes).t.item()
+    if value != value:
+        raise NonFiniteError("loss is NaN")
+    return value
+
+
+def grad_check(build_loss, params, sample=None, seed=0):
+    """Worst relative error between reverse-mode and central differences.
+
+    build_loss takes a fresh graph plus the parameter nodes and returns a
+    scalar node; it must be deterministic in the parameter values. Every
+    coordinate of every parameter is perturbed by +-H unless `sample` caps
+    the per-tensor coordinate count (sampled deterministically). The
+    denominator is floored so coordinates whose true gradient sits below the
+    finite-difference noise floor compare absolutely instead of exploding.
+    """
+    g = Graph()
+    nodes = [g.param(p) for p in params]
+    g.backward(build_loss(g, nodes))
+    analytic = [g.grad(n).data for n in nodes]
+
+    rng = random.Random(seed)
+    worst = 0.0
+    for t, adg in zip(params, analytic):
+        coords = range(t.size)
+        if sample is not None and sample < t.size:
+            coords = sorted(rng.sample(range(t.size), sample))
+        for i in coords:
+            orig = t.data[i]
+            t.data[i] = orig + H
+            fp = _eval_loss(build_loss, params)
+            t.data[i] = orig - H
+            fm = _eval_loss(build_loss, params)
+            t.data[i] = orig
+            fd = (fp - fm) / (2.0 * H)
+            ad = adg[i]
+            err = abs(ad - fd) / max(abs(ad), abs(fd), FLOOR)
+            if err > worst:
+                worst = err
+    return worst
 
 
 # -- matmul -----------------------------------------------------------------
@@ -420,12 +473,51 @@ def test_rows_and_cols_reject_bad_indices_and_mismatched_parts(shapes, indices):
         g.rows(parts, indices)
 
 
-def test_every_public_graph_method_is_used_in_src():
-    # an op only tests call belongs in the tests, not on Graph
+def _uses(tree):
+    """What a syntax tree uses by name: each name it loads (`name`), each
+    attribute it reads (`.name`), and each dotted name held in a string, such
+    as the tracer's target "FusedModel.forward_nodes", whole and by its head."""
+    uses = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses["." + node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"\w+(\.\w+)*", node.value):
+            uses.update({node.value, node.value.split(".")[0]})
+    return uses
+
+
+def _public_definitions(tree):
+    """(shown name, the _uses keys that use it, definition node) for each
+    public function and class of a module and each public method of those
+    classes. A method is used through an attribute only: a bare name of the
+    same spelling is some local variable."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, (node.name, "." + node.name), node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    shown = f"{node.name}.{item.name}"
+                    yield shown, ("." + item.name, shown), item
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # A name only tests use belongs in the tests, not in the package. Uses are
+    # counted over evlm and the benchmark's modules; a definition's own body
+    # and an __init__.py re-export are not uses.
     src = Path(evlm.__file__).parent
-    text = "\n".join(path.read_text() for path in sorted(src.rglob("*.py")))
-    public = [name for name in vars(Graph) if not name.startswith("_")]
-    assert [name for name in public if not re.search(rf"\.{name}\b", text)] == []
+    trees = {path: ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))}
+    bench = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    uses = sum((_uses(t) for path, t in trees.items() if path.name != "__init__.py"), Counter())
+    uses += sum((_uses(ast.parse(path.read_text())) for path in bench), Counter())
+    unused = [
+        f"{path.relative_to(src)}: {name}"
+        for path, tree in trees.items()
+        for name, keys, node in _public_definitions(tree)
+        if sum(uses[k] for k in keys) == sum(_uses(node)[k] for k in keys)
+    ]
+    assert unused == [], f"used by nothing but tests: {', '.join(unused)}"
 
 
 # -- gradients -----------------------------------------------------------------
