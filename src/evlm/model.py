@@ -607,7 +607,11 @@ def _floats_from_hex(text: str) -> list[float]:
 def _layout(model: FusedModel) -> list[tuple[str, str | None]]:
     """Every line save_checkpoint writes before `end` but the data lines, in
     file order, each with the name of the parameter whose data line follows
-    it (None for a line with no data after it)."""
+    it (None for a line with no data after it). Meta that would not read back
+    as written raises ConfigError, so a checkpoint loads only if it saves."""
+    for key, value in model.meta.items():
+        if "=" in key or "".join((key + value).splitlines()) != key + value:
+            raise ConfigError(f"meta {key!r}={value!r} would not read back: no '=' in a key, no line breaks")
     head = [CHECKPOINT_MAGIC, *(f"config {k}={v}" for k, v in _config_pairs(model.cfg))]
     head += (f"meta {k}={v}" for k, v in sorted(model.meta.items()))
     shape = lambda name: " ".join(str(s) for s in model.params[name].shape)
@@ -633,9 +637,6 @@ def save_checkpoint(model: FusedModel, path: str) -> None:
     made. Written to a temporary file in the same directory and renamed over
     path, so a write that fails partway leaves any previous checkpoint at
     path as it was and removes the temporary file."""
-    for key, value in model.meta.items():
-        if "=" in key or "".join((key + value).splitlines()) != key + value:
-            raise ConfigError(f"meta {key!r}={value!r} would not read back: no '=' in a key, no line breaks")
     lines = []
     for line, name in _layout(model):
         lines += [line] if name is None else [line, _hex_floats(model.params[name].data)]
@@ -654,9 +655,10 @@ def save_checkpoint(model: FusedModel, path: str) -> None:
 
 
 def _checkpoint_lines(path: str) -> list[str]:
-    """The lines of the checkpoint at path before its sha256 trailer, once the
-    magic line, the trailer and the digest check out. Only the lines outlive
-    the call, so the file's bytes are freed before a model is built."""
+    """The lines of the checkpoint at path before its sha256 trailer, split at
+    `\n` alone, once the magic line, the trailer and the digest check out.
+    Only the lines outlive the call, so the file's bytes are freed before a
+    model is built."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(CHECKPOINT_MAGIC.encode() + b"\n"):
@@ -673,7 +675,7 @@ def _checkpoint_lines(path: str) -> list[str]:
     if digest[:-1] != sha256(body).hexdigest().encode():
         raise ConfigError(f"{path} does not match its sha256 digest: the file is corrupt")
     try:
-        return str(body, "utf-8").splitlines()
+        return str(body, "utf-8").split("\n")[:-1]  # the body ends with a newline
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not text: {exc}") from exc
 
@@ -682,7 +684,9 @@ def load_checkpoint(path: str) -> FusedModel:
     """Rebuild a model from a save_checkpoint file; no random init is drawn.
     The file loads iff its sha256 digest holds, its lines other than the
     data lines are exactly those save_checkpoint writes for its config and
-    meta, and its data lines parse to finite values of the right count.
+    meta, and its data lines are finite values of the right count in the
+    lower-case hex save_checkpoint writes, so saving the loaded model writes
+    back the same bytes.
     Anything else raises ConfigError; a config that implies more parameter
     floats than the data lines can hold does so before the model is built."""
     lines = _checkpoint_lines(path)
@@ -727,4 +731,7 @@ def load_checkpoint(path: str) -> FusedModel:
             t.data = Tensor(t.shape, _floats_from_hex(text)).data
         except (ValueError, DimensionError, NonFiniteError) as exc:
             raise ConfigError(f"bad data for {name}: {exc}") from exc
+        # parsed to the right count, so the right length leaves no room for whitespace
+        if len(text) != HEX_PER_FLOAT * t.size or text != text.lower():
+            raise ConfigError(f"bad data for {name}: not {HEX_PER_FLOAT} lower-case hex digits per float")
     return model

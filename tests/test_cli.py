@@ -11,8 +11,8 @@ import sys
 import pytest
 
 from evlm import cli
-from evlm.errors import EvlmError
-from evlm.model import save_checkpoint, smoke_config, train_smoke
+from evlm.errors import ConfigError, EvlmError
+from evlm.model import load_checkpoint, save_checkpoint, smoke_config, train_smoke
 from test_model import edit_head_data, edit_checkpoint, reseal
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -613,6 +613,32 @@ def test_fuzzed_param_header_lines_exit_2(tmp_path):
         data = reseal(b"\n".join(lines[:k] + [line] + lines[k + 1 :]))
         mutant.write_bytes(data)
         assert exit_code(probe) == 2 or data == original, f"param header mutant {i}: {line!r}"
+
+
+def test_a_checkpoint_loads_only_if_saving_it_writes_back_its_bytes(tmp_path):
+    rng = random.Random(2026)  # its own generator, so the mutants of the tests above stay as they are
+    ckpt, again = tmp_path / "smoke.ckpt", tmp_path / "again.ckpt"
+    save_checkpoint(train_smoke(smoke_config(), steps=0, seed=0).model, str(ckpt))
+    original = ckpt.read_bytes()
+    lines = original.decode().split("\n")[:-2]  # up to `end`, without the sha256 trailer
+    spaced = lambda data: " ".join(data[i : i + 2] for i in range(0, len(data), 2))
+    named = [  # files that load at the parent commit: \r\n line ends, upper-case and spaced data
+        lines[0] + "\n" + "\r\n".join(lines[1:]) + "\r\n",
+        "\n".join(edit_head_data(str.upper)(lines)) + "\n",
+        "\n".join(edit_head_data(spaced)(lines)) + "\n",
+    ]
+    mutants = [text.encode() for text in named] + [mutate_checkpoint(rng, original) for _ in range(200)]
+    loaded = 0
+    for i, data in enumerate(map(reseal, mutants)):
+        ckpt.write_bytes(data)
+        try:
+            model = load_checkpoint(str(ckpt))
+        except ConfigError:
+            continue
+        loaded += 1
+        save_checkpoint(model, str(again))
+        assert again.read_bytes() == data, f"mutant {i} loads, but saving it writes other bytes"
+    assert loaded > 0
 
 
 FOOTPRINT_PROBE = """\

@@ -12,7 +12,7 @@ from array import array
 import pytest
 
 from evlm.errors import ConfigError, ContractViolationError, NonFiniteError, SequenceError
-from evlm.fusion import ImageMarker, build_cross_mask_image, build_self_mask, insert_media_tokens
+from evlm.fusion import ImageMarker, branch_widths, build_cross_mask_image, build_self_mask, insert_media_tokens
 from evlm.layers import block
 from evlm.model import (
     ALL_GROUPS,
@@ -1038,6 +1038,13 @@ NAN_HEX, INF_HEX = "000000000000f87f", "000000000000f07f"  # little-endian float
             lambda lines: [lines[0], "meta seed=1", *lines[1:]],
             "reads 'meta seed=1', where save_checkpoint writes 'config llm_layers=2'",
         ),
+        (lambda lines: [lines[0]] + [line + "\r" for line in lines[1:]], r"got 'image\\r'"),
+        (edit_head_data(str.upper), "bad data for llm.head: not 16 lower-case hex digits per float"),
+        (
+            edit_head_data(lambda data: " ".join(data[i : i + 2] for i in range(0, len(data), 2))),
+            "bad data for llm.head: not 16 lower-case hex digits per float",
+        ),
+        (insert_before_params("meta a\u2028b=c"), "would not read back"),
     ],
     ids=[
         "short_data",
@@ -1063,6 +1070,10 @@ NAN_HEX, INF_HEX = "000000000000f87f", "000000000000f07f"  # little-endian float
         "non_canonical_config_value",
         "unsorted_meta",
         "config_after_meta",
+        "crlf_line_ends",
+        "upper_case_data",
+        "space_separated_data",
+        "line_separator_in_meta_key",
     ],
 )
 def test_checkpoint_rejects_malformed(tmp_path, corrupt, message):
@@ -1185,6 +1196,46 @@ def test_checkpoint_size_is_checked_before_the_model_is_built(tmp_path, monkeypa
 )
 def test_param_count_matches_the_built_model(cfg):
     assert param_count(cfg) == sum(t.size for t in FusedModel(cfg, seed=0).params.values())
+
+
+def random_config(rng, moe_kind, half_way):
+    """A small random config with the MoE off, on with the world expert
+    (`world`) or on without it (`no_world`). With half_way, r_xc and r_xf
+    put r * h_llm at a half, where branch_widths rounds up."""
+    heads = rng.choice([1, 2, 4])
+    h = heads * rng.randint(1, 4)
+    layers = rng.randint(1, 4)
+    taps = rng.randint(1, layers)
+    enc = EncoderConfig(layers, rng.randint(1, 5), rng.randint(1, 6), rng.randint(taps, layers), taps)
+    ratio = lambda: (2 * rng.randrange(h) + 1) / (2 * h) if half_way else rng.uniform(1 / h, 1.0)
+    r_xc, r_xf = ratio(), ratio()
+    moe = None
+    if moe_kind != "dense":
+        hidden = branch_widths(h, r_xc, r_xf)[1]
+        segments = rng.choice([m for m in range(1, hidden + 1) if hidden % m == 0])
+        n_replicas = rng.randint(1, 3)
+        top_k = rng.randint(1, n_replicas * segments)
+        moe = MoEConfig(n_replicas, segments, top_k, use_world_expert=moe_kind == "world")
+    return ModelConfig(
+        llm_layers=rng.randint(taps, taps + 2),
+        h_llm=h,
+        heads=heads,
+        vocab=rng.randint(2, 12),
+        media_len=rng.randint(1, 4),
+        r_xc=r_xc,
+        r_xf=r_xf,
+        moe=moe,
+        encoder=enc,
+        ffn_mult=rng.randint(1, 4),
+        max_seq=rng.randint(1, 40),
+    )
+
+
+def test_param_count_matches_the_built_model_on_random_configs():
+    rng = random.Random(17)
+    for i in range(42):
+        cfg = random_config(rng, ("dense", "world", "no_world")[i % 3], half_way=i % 2 == 0)
+        assert param_count(cfg) == sum(t.size for t in FusedModel(cfg, seed=0).params.values()), cfg
 
 
 def test_checkpoint_round_trips_every_float_bit(tmp_path):
