@@ -13,7 +13,7 @@ import pytest
 from evlm import cli
 from evlm.errors import ConfigError, EvlmError
 from evlm.model import load_checkpoint, save_checkpoint, smoke_config, train_smoke
-from test_model import edit_head_data, edit_checkpoint, reseal
+from test_model import edit_head_data, edit_checkpoint, reseal, spaced
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -621,8 +621,7 @@ def test_a_checkpoint_loads_only_if_saving_it_writes_back_its_bytes(tmp_path):
     save_checkpoint(train_smoke(smoke_config(), steps=0, seed=0).model, str(ckpt))
     original = ckpt.read_bytes()
     lines = original.decode().split("\n")[:-2]  # up to `end`, without the sha256 trailer
-    spaced = lambda data: " ".join(data[i : i + 2] for i in range(0, len(data), 2))
-    named = [  # files that load at the parent commit: \r\n line ends, upper-case and spaced data
+    named = [  # \r\n line ends, upper-case data and space-separated data: save_checkpoint writes none
         lines[0] + "\n" + "\r\n".join(lines[1:]) + "\r\n",
         "\n".join(edit_head_data(str.upper)(lines)) + "\n",
         "\n".join(edit_head_data(spaced)(lines)) + "\n",

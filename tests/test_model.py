@@ -997,6 +997,11 @@ def insert_before_params(*new):
 NAN_HEX, INF_HEX = "000000000000f87f", "000000000000f07f"  # little-endian float64 bit patterns
 
 
+def spaced(data):
+    """Hex data as space-separated digit pairs, which bytes.fromhex reads as the same bytes."""
+    return " ".join(data[i : i + 2] for i in range(0, len(data), 2))
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -1040,10 +1045,7 @@ NAN_HEX, INF_HEX = "000000000000f87f", "000000000000f07f"  # little-endian float
         ),
         (lambda lines: [lines[0]] + [line + "\r" for line in lines[1:]], r"got 'image\\r'"),
         (edit_head_data(str.upper), "bad data for llm.head: not 16 lower-case hex digits per float"),
-        (
-            edit_head_data(lambda data: " ".join(data[i : i + 2] for i in range(0, len(data), 2))),
-            "bad data for llm.head: not 16 lower-case hex digits per float",
-        ),
+        (edit_head_data(spaced), "bad data for llm.head: not 16 lower-case hex digits per float"),
         (insert_before_params("meta a\u2028b=c"), "would not read back"),
     ],
     ids=[

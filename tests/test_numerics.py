@@ -483,8 +483,9 @@ def _uses(tree):
             uses[node.id] += 1
         elif isinstance(node, ast.Attribute):
             uses["." + node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"\w+(\.\w+)*", node.value):
-            uses.update({node.value, node.value.split(".")[0]})
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"\w+(\.\w+)*", node.value):
+                uses.update({node.value, node.value.split(".")[0]})
     return uses
 
 
