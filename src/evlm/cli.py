@@ -42,7 +42,7 @@ from .model import (
     train_smoke,
 )
 from .moe import MoEConfig, upcycle
-from .numerics import Graph, Tensor, derive_seed, seeded_init
+from .numerics import Graph, Tensor, derive_seed
 from .vision import EncoderConfig
 
 EXIT_OK = 0
@@ -242,7 +242,7 @@ def cmd_upcycle_check(args) -> int:
     seed = _resolve_seed(args.seed, 0)
     if args.width < 1 or args.hidden < 1:  # the draw takes width**-0.5 and hidden**-0.5
         raise ConfigError(f"width and hidden size must be >= 1, got {args.width} and {args.hidden}")
-    dense = ffn_params(seeded_init(seed), "ffn.", args.width, args.hidden)
+    dense = {n: init.draw(seed) for n, init in ffn_params("ffn.", args.width, args.hidden).items()}
     bank = upcycle(dense["w_in"], dense["w_out"], cfg)
     worst = 0.0
     for trial in range(100):

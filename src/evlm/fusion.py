@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, SequenceError
 from .layers import attention, ffn, ffn_params
-from .numerics import Graph, Init, Node, Tensor
+from .numerics import Graph, Init, Node, Tensor, filled, gaussian
 
 
 @dataclass(frozen=True)
@@ -161,20 +161,20 @@ def branch_widths(h_llm: int, r_xc: float, r_xf: float) -> tuple[int, int]:
     return a, f
 
 
-def xattn_params(init: Init, prefix: str, h_llm: int, d_img: int, r_xc: float, r_xf: float) -> dict[str, Tensor]:
+def xattn_params(prefix: str, h_llm: int, d_img: int, r_xc: float, r_xf: float) -> dict[str, Init]:
     """One gated cross-attention layer's parameters by local name, each drawn
     under the init key `prefix` + its local name: the projections `wq`,
     `wk`, `wv`, `wo`, the FFN's `ffn.w_in` and `ffn.w_out`, and the two
     gates `alpha_attn` and `alpha_ffn`, which start at zero."""
     a, f = branch_widths(h_llm, r_xc, r_xf)
     return {
-        "wq": init((h_llm, a), prefix + "wq", h_llm**-0.5),
-        "wk": init((d_img, a), prefix + "wk", d_img**-0.5),
-        "wv": init((d_img, a), prefix + "wv", d_img**-0.5),
-        "wo": init((a, h_llm), prefix + "wo", a**-0.5),
-        **{f"ffn.{n}": t for n, t in ffn_params(init, prefix + "ffn.", h_llm, f).items()},
-        "alpha_attn": Tensor.zeros(1, 1),
-        "alpha_ffn": Tensor.zeros(1, 1),
+        "wq": gaussian((h_llm, a), prefix + "wq", h_llm**-0.5),
+        "wk": gaussian((d_img, a), prefix + "wk", d_img**-0.5),
+        "wv": gaussian((d_img, a), prefix + "wv", d_img**-0.5),
+        "wo": gaussian((a, h_llm), prefix + "wo", a**-0.5),
+        **{f"ffn.{n}": init for n, init in ffn_params(prefix + "ffn.", h_llm, f).items()},
+        "alpha_attn": filled((1, 1), 0.0),
+        "alpha_ffn": filled((1, 1), 0.0),
     }
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .numerics import Graph, Init, Node, Tensor
+from .numerics import Graph, Init, Node, filled, gaussian
 
 
 def ffn(g: Graph, x: Node, w_in: Node, w_out: Node, per_row_grads: bool = False) -> Node:
@@ -19,22 +19,22 @@ def ffn(g: Graph, x: Node, w_in: Node, w_out: Node, per_row_grads: bool = False)
     return mm(g.gelu(mm(x, w_in)), w_out)
 
 
-def ffn_params(init: Init, name: str, d: int, hidden: int) -> dict[str, Tensor]:
+def ffn_params(name: str, d: int, hidden: int) -> dict[str, Init]:
     """An FFN's `w_in` (d, hidden) and `w_out` (hidden, d), each drawn with
     std fan_in**-0.5 under the init key `name` + its local name."""
     return {
-        "w_in": init((d, hidden), name + "w_in", d**-0.5),
-        "w_out": init((hidden, d), name + "w_out", hidden**-0.5),
+        "w_in": gaussian((d, hidden), name + "w_in", d**-0.5),
+        "w_out": gaussian((hidden, d), name + "w_out", hidden**-0.5),
     }
 
 
-def block_params(init: Init, name: str, d: int, hidden: int) -> dict[str, Tensor]:
+def block_params(name: str, d: int, hidden: int) -> dict[str, Init]:
     """One block's parameters by local name; `name` prefixes their init keys."""
-    p = {w: init((d, d), name + w, d**-0.5) for w in ("wq", "wk", "wv", "wo")}
+    p = {w: gaussian((d, d), name + w, d**-0.5) for w in ("wq", "wk", "wv", "wo")}
     for ln in ("ln1", "ln2"):
-        p[ln + ".gain"] = Tensor.full((1, d), 1.0)
-        p[ln + ".bias"] = Tensor.zeros(1, d)
-    return p | ffn_params(init, name, d, hidden)
+        p[ln + ".gain"] = filled((1, d), 1.0)
+        p[ln + ".bias"] = filled((1, d), 0.0)
+    return p | ffn_params(name, d, hidden)
 
 
 def attention(

@@ -11,7 +11,7 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, ContractViolationError, DimensionError, NonFiniteError, SequenceError
 from .fusion import (
@@ -19,7 +19,6 @@ from .fusion import (
     ImageMarker,
     InterleavedSequence,
     Text,
-    branch_widths,
     build_cross_mask_image,
     build_cross_mask_video,
     build_padded_kv,
@@ -28,8 +27,8 @@ from .fusion import (
     xattn_params,
 )
 from .layers import block, block_params
-from .moe import MoEConfig, RoutingStats, aux_loss_node, moe_forward_nodes, upcycle
-from .numerics import Graph, Init, Node, Tensor, derive_seed, seeded_init, zeros_init
+from .moe import MoEConfig, RoutingStats, aux_loss_node, bank_params, moe_forward_nodes
+from .numerics import Graph, Node, Tensor, derive_seed, filled, gaussian
 from .numerics.tensor import sha256
 from .vision import FFN_MULT, EncoderConfig, VisionEncoder, assign_taps_to_xattn
 
@@ -152,71 +151,62 @@ def next_token_targets(seq: InterleavedSequence) -> tuple[list[int], list[bool]]
     return targets, mask
 
 
+class ParamSpec(NamedTuple):
+    """One row of the parameter table: a parameter's name, its group for
+    stage-wise freezing, its shape, and draw(seed), its seeded init."""
+
+    name: str
+    group: str
+    shape: tuple[int, ...]
+    draw: Callable[[int], Tensor]
+
+
+def param_specs(cfg: ModelConfig) -> Iterator[ParamSpec]:
+    """The parameter table: every parameter of FusedModel(cfg), in the order
+    of its `params`. Made lazily and without drawing anything, so a caller
+    can stop after any row (a checkpoint's size check does)."""
+    h, v, d, layers = cfg.h_llm, cfg.vocab, cfg.encoder.feature_dim, cfg.encoder.layers
+    part = lambda prefix, group, inits: (ParamSpec(prefix + n, group, *init) for n, init in inits)
+    drawn = lambda name, group, shape: ParamSpec(name, group, *gaussian(shape, name, h**-0.5))
+    # visual encoder, grouped front / back-half / last-quarter by depth
+    quarter_start, half_start = layers - math.ceil(layers / 4), layers - math.ceil(layers / 2)
+    for i in range(layers):
+        group = "vit_last_quarter" if i >= quarter_start else "vit_back_half" if i >= half_start else "vit_front"
+        yield from part(f"vision.block{i}.", group, block_params(f"vision.block{i}.", d, FFN_MULT * d).items())
+    # shared media-token table, one row per slot, reused for every image
+    yield drawn("media.table", "media_tokens", (cfg.media_len, h))
+    # decoder
+    yield drawn("llm.tok_emb", "llm", (v, h))
+    yield drawn("llm.pos_emb", "llm", (cfg.max_seq, h))
+    for t in range(cfg.llm_layers):
+        yield from part(f"llm.block{t}.", "llm", block_params(f"llm.block{t}.", h, cfg.ffn_mult * h).items())
+    yield from part("llm.ln_f.", "llm", {"gain": filled((1, h), 1.0), "bias": filled((1, h), 0.0)}.items())
+    yield drawn("llm.head", "llm", (h, v))
+    # one gated cross-attention layer before every decoder layer
+    for t in range(cfg.llm_layers):
+        prefix = f"xattn.{t}."
+        inits = xattn_params(prefix, h, d, cfg.r_xc, cfg.r_xf)
+        # with the MoE on, upcycling consumes the dense FFN; the bank replaces it
+        bank = bank_params(inits.pop("ffn.w_in"), inits.pop("ffn.w_out"), cfg.moe) if cfg.moe else ()
+        yield from part(prefix, "xattn", inits.items())
+        yield from part(prefix + "moe.", "moe", bank)
+
+
 class FusedModel:
     """Owns every parameter tensor, grouped for stage-wise freezing.
 
     `params` is the only table of parameter tensors: every layer reads its
-    own from a graph's nodes as prefix + local name. Random parameters come
-    from `init` (default: seeded Gaussian draws keyed by parameter name)."""
+    own from a graph's nodes as prefix + local name. It holds the rows of
+    param_specs(cfg) in order: drawn from seed, or taken from `tensors`."""
 
-    def __init__(self, cfg: ModelConfig, seed: int, init: Init | None = None):
-        init = init or seeded_init(seed)
+    def __init__(self, cfg: ModelConfig, seed: int, tensors: Mapping[str, Tensor] | None = None):
         self.cfg = cfg
-        h, v = cfg.h_llm, cfg.vocab
         self.vision = VisionEncoder(cfg.encoder)
         self.tap_assignment = assign_taps_to_xattn(cfg.encoder.num_taps, cfg.llm_layers)
-
-        params: dict[str, Tensor] = {}
-        group_of: dict[str, str] = {}
-
-        def reg(name: str, t: Tensor, group: str) -> None:
-            params[name] = t
-            group_of[name] = group
-
-        # visual encoder, grouped front / back-half / last-quarter by depth
-        layers = cfg.encoder.layers
-        quarter_start = layers - math.ceil(layers / 4)
-        half_start = layers - math.ceil(layers / 2)
-        self.vision_groups = [  # the group of each vision block
-            "vit_last_quarter" if i >= quarter_start else "vit_back_half" if i >= half_start else "vit_front"
-            for i in range(layers)
-        ]
-        d = cfg.encoder.feature_dim
-        for i, group in enumerate(self.vision_groups):
-            b = f"vision.block{i}."
-            for name, t in block_params(init, b, d, FFN_MULT * d).items():
-                reg(b + name, t, group)
-
-        # shared media-token table, one row per slot, reused for every image
-        reg("media.table", init((cfg.media_len, h), "media.table", h**-0.5), "media_tokens")
-
-        # decoder
-        reg("llm.tok_emb", init((v, h), "llm.tok_emb", h**-0.5), "llm")
-        reg("llm.pos_emb", init((cfg.max_seq, h), "llm.pos_emb", h**-0.5), "llm")
-        for t in range(cfg.llm_layers):
-            b = f"llm.block{t}."
-            for name, t_param in block_params(init, b, h, cfg.ffn_mult * h).items():
-                reg(b + name, t_param, "llm")
-        reg("llm.ln_f.gain", Tensor.full((1, h), 1.0), "llm")
-        reg("llm.ln_f.bias", Tensor.zeros(1, h), "llm")
-        reg("llm.head", init((h, v), "llm.head", h**-0.5), "llm")
-
-        # one gated cross-attention layer before every decoder layer
+        specs = list(param_specs(cfg))
+        self.params = {s.name: s.draw(seed) if tensors is None else tensors[s.name] for s in specs}
+        self.group_of = {s.name: s.group for s in specs}
         self.xattn_layers = [GatedXAttn(f"xattn.{t}.") for t in range(cfg.llm_layers)]
-        for layer in self.xattn_layers:
-            b = layer.prefix
-            layer_params = xattn_params(init, b, h, cfg.encoder.feature_dim, cfg.r_xc, cfg.r_xf)
-            bank = {}
-            if cfg.moe is not None:
-                # the dense FFN is consumed by upcycling; the bank replaces it
-                bank = upcycle(layer_params.pop("ffn.w_in"), layer_params.pop("ffn.w_out"), cfg.moe)
-            for name, t_param in layer_params.items():
-                reg(b + name, t_param, "xattn")
-            for name, t_param in bank.items():
-                reg(b + "moe." + name, t_param, "moe")
-
-        self.params = params
-        self.group_of = group_of
         self.meta: dict[str, str] = {}  # free-form checkpoint metadata
         self.last_routing_stats: list[RoutingStats] | None = None  # per xattn layer
         # the outputs of the frozen vision blocks per image; see encode_images
@@ -263,8 +253,9 @@ class FusedModel:
 
     def frozen_vision_blocks(self, trainable_groups: Mapping[str, bool]) -> int:
         """The number of leading vision blocks with no trainable parameter."""
-        trained = (i for i, group in enumerate(self.vision_groups) if trainable_groups.get(group, False))
-        return next(trained, len(self.vision_groups))
+        layers = self.cfg.encoder.layers  # a block's parameters share one group
+        trained = (i for i in range(layers) if trainable_groups.get(self.group_of[f"vision.block{i}.wq"], False))
+        return next(trained, layers)
 
     def encode_images_tensors(self, images: Sequence[Tensor]) -> list[list[Tensor]]:
         """Frozen-vision fast path: encode once outside any training graph."""
@@ -560,21 +551,6 @@ CHECKPOINT_MAGIC = "evlm-checkpoint v2"
 HEX_PER_FLOAT = 16  # one float64, 8 bytes, as hex
 
 
-def param_count(cfg: ModelConfig) -> int:
-    """The number of parameter floats FusedModel(cfg) holds, from the config
-    alone, so a checkpoint's size can be checked before any allocation."""
-    d, h, v = cfg.encoder.feature_dim, cfg.h_llm, cfg.vocab
-    block = lambda width, hidden: 4 * width * width + 4 * width + 2 * width * hidden
-    a, f = branch_widths(h, cfg.r_xc, cfg.r_xf)
-    ffn = 2 * h * f
-    if cfg.moe is not None:  # router, the FFN once per replica, the world expert's copy
-        ffn = h * cfg.moe.num_experts + ffn * (cfg.moe.n_replicas + cfg.moe.use_world_expert)
-    xattn = 2 * h * a + 2 * d * a + ffn + 2
-    vision = cfg.encoder.layers * block(d, FFN_MULT * d)
-    llm = (2 * v + cfg.max_seq + 2) * h + cfg.llm_layers * (block(h, cfg.ffn_mult * h) + xattn)
-    return vision + cfg.media_len * h + llm
-
-
 def _config_pairs(cfg: ModelConfig) -> list[tuple[str, str]]:
     pairs = config_items(cfg) + config_items(cfg.encoder, "encoder.")
     pairs.append(("moe.enabled", config_text(cfg.moe is not None)))
@@ -604,19 +580,25 @@ def _floats_from_hex(text: str) -> list[float]:
     return packed.tolist()
 
 
-def _layout(model: FusedModel) -> list[tuple[str, str | None]]:
+def _layout(cfg: ModelConfig, meta: Mapping[str, str]) -> list[tuple[str, ParamSpec | None]]:
     """Every line save_checkpoint writes before `end` but the data lines, in
-    file order, each with the name of the parameter whose data line follows
-    it (None for a line with no data after it). Meta that would not read back
-    as written raises ConfigError, so a checkpoint loads only if it saves."""
-    for key, value in model.meta.items():
+    file order, each with the parameter table's row for the data line that
+    follows it (None for a line with no data after it). Meta that would not
+    read back as written raises ConfigError, so a checkpoint loads only if it
+    saves."""
+    for key, value in meta.items():
         if "=" in key or "".join((key + value).splitlines()) != key + value:
             raise ConfigError(f"meta {key!r}={value!r} would not read back: no '=' in a key, no line breaks")
-    head = [CHECKPOINT_MAGIC, *(f"config {k}={v}" for k, v in _config_pairs(model.cfg))]
-    head += (f"meta {k}={v}" for k, v in sorted(model.meta.items()))
-    shape = lambda name: " ".join(str(s) for s in model.params[name].shape)
-    params = [(f"param {model.group_of[n]} {n} {shape(n)}", n) for n in sorted(model.params)]
-    return [(line, None) for line in head] + params
+    head = [CHECKPOINT_MAGIC, *(f"config {k}={v}" for k, v in _config_pairs(cfg))]
+    head += (f"meta {k}={v}" for k, v in sorted(meta.items()))
+    params = [(f"param {s.group} {s.name} {' '.join(map(str, s.shape))}", s) for s in param_specs(cfg)]
+    return [(line, None) for line in head] + sorted(params, key=lambda pair: pair[1].name)
+
+
+def _line_error(i: int, got: str | None, want: str | None) -> ConfigError:
+    """Line i (from 0) reads got, not want; None stands for no line."""
+    shown = lambda line: "nothing" if line is None else repr(line)
+    return ConfigError(f"checkpoint line {i + 1} reads {shown(got)}, where save_checkpoint writes {shown(want)}")
 
 
 def save_checkpoint(model: FusedModel, path: str) -> None:
@@ -638,8 +620,8 @@ def save_checkpoint(model: FusedModel, path: str) -> None:
     path, so a write that fails partway leaves any previous checkpoint at
     path as it was and removes the temporary file."""
     lines = []
-    for line, name in _layout(model):
-        lines += [line] if name is None else [line, _hex_floats(model.params[name].data)]
+    for line, spec in _layout(model.cfg, model.meta):
+        lines += [line] if spec is None else [line, _hex_floats(model.params[spec.name].data)]
     lines.append("end")
     body = ("\n".join(lines) + "\n").encode()
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -680,58 +662,71 @@ def _checkpoint_lines(path: str) -> list[str]:
         raise ConfigError(f"{path} is not text: {exc}") from exc
 
 
+# the parser of each config key save_checkpoint writes
+_CONFIG_PARSERS = {"moe.enabled": parse_flag} | {
+    prefix + k: parse for cls, prefix in ((ModelConfig, ""), (EncoderConfig, "encoder."), (MoEConfig, "moe."))
+    for k, parse in config_fields(cls).items()
+}
+
+
 def load_checkpoint(path: str) -> FusedModel:
-    """Rebuild a model from a save_checkpoint file; no random init is drawn.
+    """Rebuild a model from a save_checkpoint file, built once from the
+    file's tensors; no random init is drawn.
     The file loads iff its sha256 digest holds, its lines other than the
     data lines are exactly those save_checkpoint writes for its config and
     meta, and its data lines are finite values of the right count in the
     lower-case hex save_checkpoint writes, so saving the loaded model writes
-    back the same bytes.
-    Anything else raises ConfigError; a config that implies more parameter
-    floats than the data lines can hold does so before the model is built."""
+    back the same bytes. Anything else raises ConfigError, and every line
+    but the data lines is checked before any tensor is made."""
     lines = _checkpoint_lines(path)
     kv: dict[str, str] = {}
     meta: dict[str, str] = {}
     i = 1
-    while i < len(lines) and lines[i].startswith(("config ", "meta ")):
-        kind, _, rest = lines[i].partition(" ")
-        key, _, value = rest.partition("=")
-        table = kv if kind == "config" else meta
-        if key in table:
-            raise ConfigError(f"checkpoint repeats {kind} key {key}")
-        table[key] = value
-        i += 1
     try:
+        while i < len(lines) and lines[i].startswith(("config ", "meta ")):
+            kind, _, rest = lines[i].partition(" ")
+            key, _, value = rest.partition("=")
+            table = kv if kind == "config" else meta
+            if key in table:
+                raise ConfigError(f"checkpoint repeats {kind} key {key}")
+            table[key] = value
+            text = config_text(_CONFIG_PARSERS[key](value)) if kind == "config" and key in _CONFIG_PARSERS else value
+            if text != value:
+                raise _line_error(i, lines[i], f"config {key}={text}")
+            i += 1
         cfg = _config_from_pairs(kv)
     except KeyError as exc:
         raise ConfigError(f"checkpoint config is missing {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad checkpoint config value: {exc}") from exc
-    floats, room = param_count(cfg), sum(map(len, lines[i:])) // HEX_PER_FLOAT
+    room, floats = sum(map(len, lines[i:])) // HEX_PER_FLOAT, 0
+    for rows, spec in enumerate(param_specs(cfg), 1):
+        floats += math.prod(spec.shape)
+        if floats > room and rows > len(lines):  # past the data's floats and the file's lines: stop
+            break
     if floats > room:
-        raise ConfigError(f"checkpoint config implies {floats} parameter floats; its data can hold at most {room}")
-    model = FusedModel(cfg, seed=0, init=zeros_init)
-    model.meta = meta
+        implied = f"at least {floats}" if rows > len(lines) else floats
+        raise ConfigError(f"checkpoint config implies {implied} parameter floats; its data can hold at most {room}")
     if lines[-1] != "end":
         raise ConfigError(f"{path} does not end with a single 'end' line")
-    data: list[tuple[str, str]] = []  # (parameter name, its data line)
-    shown = lambda line: "nothing" if line is None else repr(line)
+    data: list[tuple[ParamSpec, str]] = []  # (table row, its data line)
     i = 0
-    for want, name in [*_layout(model), ("end", None), (None, None)]:  # None: no line, past the end
+    for want, spec in [*_layout(cfg, meta), ("end", None), (None, None)]:  # None: no line, past the end
         got = lines[i] if i < len(lines) else None
         if got != want:
-            raise ConfigError(f"checkpoint line {i + 1} reads {shown(got)}, where save_checkpoint writes {shown(want)}")
-        if name is not None:
-            data.append((name, lines[i + 1]))
-        i += 1 if name is None else 2
-    for name, text in data:
-        t = model.params[name]
-        try:
-            # Tensor() checks the value count against the shape and finiteness
-            t.data = Tensor(t.shape, _floats_from_hex(text)).data
+            raise _line_error(i, got, want)
+        if spec is not None:
+            data.append((spec, lines[i + 1]))
+        i += 1 if spec is None else 2
+    tensors = {}
+    for spec, text in data:
+        try:  # Tensor() checks the value count against the shape and finiteness
+            tensors[spec.name] = Tensor(spec.shape, _floats_from_hex(text))
         except (ValueError, DimensionError, NonFiniteError) as exc:
-            raise ConfigError(f"bad data for {name}: {exc}") from exc
+            raise ConfigError(f"bad data for {spec.name}: {exc}") from exc
         # parsed to the right count, so the right length leaves no room for whitespace
-        if len(text) != HEX_PER_FLOAT * t.size or text != text.lower():
-            raise ConfigError(f"bad data for {name}: not {HEX_PER_FLOAT} lower-case hex digits per float")
+        if len(text) != HEX_PER_FLOAT * math.prod(spec.shape) or text != text.lower():
+            raise ConfigError(f"bad data for {spec.name}: not {HEX_PER_FLOAT} lower-case hex digits per float")
+    model = FusedModel(cfg, 0, tensors)
+    model.meta = meta
     return model

@@ -8,13 +8,14 @@ reads under a prefix."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import ConfigError, DimensionError
 from .layers import ffn
-from .numerics import Graph, Node, Tensor
+from .numerics import Graph, Init, Node, Tensor, filled
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,11 @@ class RoutingStats:
             self.prob_sums = [0.0] * self.num_experts
 
 
-def upcycle(w_in: Tensor, w_out: Tensor, cfg: MoEConfig) -> dict[str, Tensor]:
+def bank_params(w_in: Init, w_out: Init, cfg: MoEConfig) -> Iterator[tuple[str, Init]]:
     """Replicate-and-segment the dense FFN w_in (h, H), w_out (H, h) into
-    the bank's parameters, by the names moe_forward_nodes reads under its
-    prefix: `router` (h, N*M), zero-initialized; `expert<i>.w_in` and
-    `expert<i>.w_out` for i = r * segments + m, the m-th hidden slice of
+    the bank's parameters, lazily, by the names moe_forward_nodes reads
+    under its prefix: `router` (h, N*M), zero-initialized; `expert<i>.w_in`
+    and `expert<i>.w_out` for i = r * segments + m, the m-th hidden slice of
     replica r; and, when cfg.use_world_expert is set, `world.w_in` and
     `world.w_out`, a verbatim copy of the dense FFN.
 
@@ -72,20 +73,25 @@ def upcycle(w_in: Tensor, w_out: Tensor, cfg: MoEConfig) -> dict[str, Tensor]:
     if hidden % cfg.segments != 0:
         raise ConfigError(f"segments={cfg.segments} does not divide hidden width {hidden}")
     sw = hidden // cfg.segments
-    bank = {"router": Tensor.zeros(h, cfg.num_experts)}
+    dense = functools.cache(lambda seed: (w_in.draw(seed).data, w_out.draw(seed).data))  # drawn once per seed
+    # an Init whose values are pick(w_in's values, w_out's values) of the dense draws
+    derived = lambda shape, pick: Init(shape, lambda seed: Tensor(shape, pick(*dense(seed)), check=False))
+    yield "router", filled((h, cfg.num_experts), 0.0)
     for r in range(cfg.n_replicas):
         for m in range(cfg.segments):
-            lo, hi = m * sw, (m + 1) * sw
             e = f"expert{r * cfg.segments + m}"
-            bank[f"{e}.w_in"] = Tensor(
-                (h, sw),
-                [w_in.data[i * hidden + j] for i in range(h) for j in range(lo, hi)],
-                check=False,
-            )
-            bank[f"{e}.w_out"] = Tensor((sw, h), w_out.data[lo * h : hi * h].copy(), check=False)
+            cols = lambda a, b, lo=m * sw: [a[i * hidden + j] for i in range(h) for j in range(lo, lo + sw)]
+            yield f"{e}.w_in", derived((h, sw), cols)
+            yield f"{e}.w_out", derived((sw, h), lambda a, b, lo=m * sw: b[lo * h : (lo + sw) * h])
     if cfg.use_world_expert:
-        bank["world.w_in"], bank["world.w_out"] = w_in.copy(), w_out.copy()
-    return bank
+        yield "world.w_in", derived((h, hidden), lambda a, b: a[:])
+        yield "world.w_out", derived((hidden, h), lambda a, b: b[:])
+
+
+def upcycle(w_in: Tensor, w_out: Tensor, cfg: MoEConfig) -> dict[str, Tensor]:
+    """The bank of bank_params, made from the dense FFN's tensors."""
+    given = lambda t: Init(t.shape, lambda seed: t)
+    return {name: init.draw(0) for name, init in bank_params(given(w_in), given(w_out), cfg)}
 
 
 def top_k(logits: Sequence[float], k: int) -> list[int]:

@@ -7,6 +7,6 @@ the central-difference check itself, `grad_check`, lives in the tests
 """
 
 from .graph import Graph, Node
-from .tensor import Init, Tensor, derive_seed, seeded_init, zeros_init
+from .tensor import Init, Tensor, derive_seed, filled, gaussian
 
-__all__ = ["Graph", "Init", "Node", "Tensor", "derive_seed", "seeded_init", "zeros_init"]
+__all__ = ["Graph", "Init", "Node", "Tensor", "derive_seed", "filled", "gaussian"]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..errors import DimensionError, NonFiniteError
 
@@ -107,24 +107,23 @@ class Tensor:
             raise DimensionError(f"item() on tensor of shape {self.shape}")
         return self.data[0]
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.shape, list(self.data), check=False)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
 
-# Parameter factory: (shape, parameter name, init std) -> tensor. Models build
-# every randomly initialized parameter through one, so a caller that is about
-# to overwrite all parameters (a checkpoint load) can skip the draws.
-Init = Callable[[Shape, str, float], Tensor]
+class Init(NamedTuple):
+    """A parameter's shape and its seeded init: draw(seed) makes its starting
+    value, so the shape is known without drawing anything."""
+
+    shape: Shape
+    draw: Callable[[int], Tensor]
 
 
-def seeded_init(seed: int) -> Init:
-    """Gaussian init with a per-parameter seed derived from the name."""
-    return lambda shape, name, std: Tensor.randn(shape, derive_seed(seed, name), std)
+def gaussian(shape: Shape, key: str, std: float) -> Init:
+    """std-scaled normal values drawn under derive_seed(seed, key)."""
+    return Init(shape, lambda seed: Tensor.randn(shape, derive_seed(seed, key), std))
 
 
-def zeros_init(shape: Shape, name: str, std: float) -> Tensor:
-    """Draws nothing: zero placeholders for parameters about to be overwritten."""
-    return Tensor.zeros(*shape)
+def filled(shape: Shape, value: float) -> Init:
+    """Every value `value`; nothing is drawn."""
+    return Init(shape, lambda seed: Tensor.full(shape, value))

@@ -45,7 +45,7 @@ from evlm.model import (
     synthetic_patches,
 )
 from evlm.moe import MoEConfig, moe_forward_nodes, upcycle
-from evlm.numerics import Tensor, derive_seed, seeded_init
+from evlm.numerics import Tensor, derive_seed
 from evlm.vision import EncoderConfig
 from test_cli import parse_record, run_cli
 from test_flops import oracle_cross, oracle_full
@@ -241,7 +241,7 @@ def test_criterion_5_gradient_checks():
     with criterion(5, "gradient checks vs central differences", 60):
         # (a) gated cross-attention layer, every coordinate
         layer = GatedXAttn("xattn.")
-        layer_params = xattn_params(seeded_init(50), "xattn.", 4, 3, 0.5, 0.5)
+        layer_params = {n: i.draw(50) for n, i in xattn_params("xattn.", 4, 3, 0.5, 0.5).items()}
         layer_params["alpha_attn"] = Tensor((1, 1), [0.4])
         layer_params["alpha_ffn"] = Tensor((1, 1), [-0.3])
         seq = insert_media_tokens([ImageMarker(0), 1, 2], media_len=1)

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: exit codes, record parsing, byte determinism."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -12,7 +14,8 @@ import pytest
 
 from evlm import cli
 from evlm.errors import ConfigError, EvlmError
-from evlm.model import load_checkpoint, save_checkpoint, smoke_config, train_smoke
+from evlm.model import FusedModel, load_checkpoint, save_checkpoint, smoke_config, train_smoke
+from evlm.moe import MoEConfig
 from test_model import edit_head_data, edit_checkpoint, reseal, spaced
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -54,13 +57,13 @@ def cli_env(env_extra=None):
     return env
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "evlm.cli", *args],
         capture_output=True,
         text=True,
         env=cli_env(env_extra),
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -246,6 +249,26 @@ def test_probe_rejects_truncated_parameter_data(tiny_run, tmp_path):
     out = run_cli("probe", "--checkpoint", str(bad), "--image", "0", "--candidates", "0")
     assert out.returncode == 2 and out.stdout == ""
     assert "llm.head" in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "moe, line, hostile",
+    [
+        (None, "config llm_layers=2", "config llm_layers=1000000000"),
+        (None, "config encoder.layers=4", "config encoder.layers=1000000000"),
+        (MoEConfig(), "config moe.n_replicas=4", "config moe.n_replicas=1000000000"),
+    ],
+    ids=["llm_layers", "encoder_layers", "moe_n_replicas"],
+)
+def test_probe_refuses_a_hostile_size_in_bounded_time(tmp_path, moe, line, hostile):
+    # a config of 10**9 layers or replicas must be refused from its first
+    # rows, not by walking a table of billions of parameters
+    ckpt = tmp_path / "hostile.ckpt"
+    save_checkpoint(FusedModel(dataclasses.replace(smoke_config(), moe=moe), seed=0), str(ckpt))
+    edit_checkpoint(ckpt, lambda lines: [hostile if text == line else text for text in lines])
+    out = run_cli("probe", "--checkpoint", str(ckpt), "--image", "0", "--candidates", "0", timeout=10)
+    assert out.returncode == 2 and out.stdout == ""
+    assert re.fullmatch(r"error: .* implies .* parameter floats; .*\n", out.stderr), out.stderr
 
 
 def test_train_smoke_negative_steps_rejected(tiny_run, tmp_path):

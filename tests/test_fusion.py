@@ -21,7 +21,7 @@ from evlm.fusion import (
     insert_media_tokens,
     xattn_params,
 )
-from evlm.numerics import Graph, Tensor, derive_seed, seeded_init
+from evlm.numerics import Graph, Tensor, derive_seed
 from test_numerics import dot, grad_check
 
 
@@ -290,7 +290,7 @@ def xattn_oracle(hidden, kv, allow, p, a_width):
 
 def make_layer(h=4, d=3, seed=11):
     """A layer under the prefix `xattn.` and its parameters by local name."""
-    return GatedXAttn("xattn."), xattn_params(seeded_init(seed), "xattn.", h, d, 0.5, 0.5)
+    return GatedXAttn("xattn."), {n: i.draw(seed) for n, i in xattn_params("xattn.", h, d, 0.5, 0.5).items()}
 
 
 def layer_nodes(g, layer, params):
@@ -404,4 +404,4 @@ def test_layer_grad_check():
 
 def test_branch_width_validation():
     with pytest.raises(ConfigError):
-        xattn_params(seeded_init(0), "xattn.", 2, 2, 0.2, 0.5)
+        xattn_params("xattn.", 2, 2, 0.2, 0.5)

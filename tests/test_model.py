@@ -24,7 +24,7 @@ from evlm.model import (
     load_checkpoint,
     loss_probe,
     next_token_targets,
-    param_count,
+    param_specs,
     save_checkpoint,
     smoke_config,
     synthetic_patches,
@@ -203,7 +203,7 @@ def test_loss_ignores_media_position_logits():
     g = Graph()
     targets, mask = next_token_targets(seq)
     base = g.cross_entropy(g.param(logits), targets, mask).t.item()
-    bent = logits.copy()
+    bent = Tensor(logits.shape, list(logits.data))
     v = model.cfg.vocab
     bent.data[0:v] = [x + 3.21 for x in bent.data[0:v]]  # slot-0 row is masked
     bent.data[-v:] = [x - 9.9 for x in bent.data[-v:]]  # final row predicts nothing
@@ -1043,7 +1043,7 @@ def spaced(data):
             lambda lines: [lines[0], "meta seed=1", *lines[1:]],
             "reads 'meta seed=1', where save_checkpoint writes 'config llm_layers=2'",
         ),
-        (lambda lines: [lines[0]] + [line + "\r" for line in lines[1:]], r"got 'image\\r'"),
+        (lambda lines: [lines[0]] + [line + "\r" for line in lines[1:]], r"line 2 reads 'config llm_layers=2\\r'"),
         (edit_head_data(str.upper), "bad data for llm.head: not 16 lower-case hex digits per float"),
         (edit_head_data(spaced), "bad data for llm.head: not 16 lower-case hex digits per float"),
         (insert_before_params("meta a\u2028b=c"), "would not read back"),
@@ -1185,6 +1185,45 @@ def test_checkpoint_size_is_checked_before_the_model_is_built(tmp_path, monkeypa
         load_checkpoint(str(path))
 
 
+def spec_table(cfg):
+    """The parameter table's (name, group, shape) rows, in order."""
+    return [(spec.name, spec.group, spec.shape) for spec in param_specs(cfg)]
+
+
+def built_table(model):
+    """The same rows read off a built model's parameters."""
+    return [(name, model.group_of[name], t.shape) for name, t in model.params.items()]
+
+
+def _last_param_line_in_the_wrong_group(lines):
+    i = max(i for i, line in enumerate(lines) if line.startswith("param xattn "))
+    return lines[:i] + [lines[i].replace("param xattn ", "param llm ")] + lines[i + 1 :]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_last_param_line_in_the_wrong_group, r"reads 'param llm xattn\.1\.wv 8 3', where save_checkpoint writes"),
+        (lambda lines: lines[:-1], "single 'end' line"),
+    ],
+    ids=["last_param_line_in_the_wrong_group", "no_end"],
+)
+def test_checkpoint_header_is_checked_before_any_allocation(tmp_path, monkeypatch, corrupt, message):
+    import evlm.model
+
+    path = tmp_path / "smoke.ckpt"
+    save_checkpoint(FusedModel(smoke_config(), seed=0), str(path))
+    edit_checkpoint(path, corrupt)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("load_checkpoint made a tensor or a model")
+
+    monkeypatch.setattr(evlm.model, "FusedModel", no_allocation)
+    monkeypatch.setattr(evlm.model, "Tensor", no_allocation)
+    with pytest.raises(ConfigError, match=message):
+        load_checkpoint(str(path))
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -1197,7 +1236,7 @@ def test_checkpoint_size_is_checked_before_the_model_is_built(tmp_path, monkeypa
     ids=["smoke", "tiny", "moe", "moe_no_world", "video"],
 )
 def test_param_count_matches_the_built_model(cfg):
-    assert param_count(cfg) == sum(t.size for t in FusedModel(cfg, seed=0).params.values())
+    assert spec_table(cfg) == built_table(FusedModel(cfg, seed=0))
 
 
 def random_config(rng, moe_kind, half_way):
@@ -1233,11 +1272,19 @@ def random_config(rng, moe_kind, half_way):
     )
 
 
-def test_param_count_matches_the_built_model_on_random_configs():
+def test_param_count_matches_the_built_model_on_random_configs(tmp_path):
     rng = random.Random(17)
+    path, again = tmp_path / "model.ckpt", tmp_path / "again.ckpt"
     for i in range(42):
         cfg = random_config(rng, ("dense", "world", "no_world")[i % 3], half_way=i % 2 == 0)
-        assert param_count(cfg) == sum(t.size for t in FusedModel(cfg, seed=0).params.values()), cfg
+        model = FusedModel(cfg, seed=0)
+        assert spec_table(cfg) == built_table(model), cfg
+        if i % 9 in (0, 4, 8):  # every third config, the three MoE kinds in turn
+            save_checkpoint(model, str(path))
+            loaded = load_checkpoint(str(path))
+            save_checkpoint(loaded, str(again))
+            assert built_table(loaded) == built_table(model), cfg
+            assert again.read_bytes() == path.read_bytes(), cfg
 
 
 def test_checkpoint_round_trips_every_float_bit(tmp_path):

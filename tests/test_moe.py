@@ -9,14 +9,14 @@ import pytest
 from evlm.errors import ConfigError, DimensionError
 from evlm.layers import ffn, ffn_params
 from evlm.moe import MoEConfig, RoutingStats, aux_loss_node, moe_forward_nodes, route_nodes, top_k, upcycle
-from evlm.numerics import Graph, Tensor, derive_seed, seeded_init
+from evlm.numerics import Graph, Tensor, derive_seed
 from test_numerics import dot, grad_check
 
 
 def make_dense(h=6, hidden=8, seed=0):
     """A dense FFN's (w_in, w_out), drawn as upcycle-check draws them."""
-    w = ffn_params(seeded_init(seed), "ffn.", h, hidden)
-    return w["w_in"], w["w_out"]
+    w = ffn_params("ffn.", h, hidden)
+    return w["w_in"].draw(seed), w["w_out"].draw(seed)
 
 
 def apply_ffn(x, w_in, w_out):
@@ -527,7 +527,7 @@ def fused_block_fixture():
     )
 
     layer = GatedXAttn("xattn.")
-    params = xattn_params(seeded_init(71), "xattn.", 4, 3, 0.5, 1.0)
+    params = {n: i.draw(71) for n, i in xattn_params("xattn.", 4, 3, 0.5, 1.0).items()}
     cfg = MoEConfig(n_replicas=2, segments=2, top_k=2)
     bank = upcycle(params.pop("ffn.w_in"), params.pop("ffn.w_out"), cfg)
     bank["router"] = Tensor.randn((4, 4), derive_seed(71, "router"), 0.8)

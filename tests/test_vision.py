@@ -6,7 +6,7 @@ import pytest
 
 from evlm.errors import ConfigError, DimensionError
 from evlm.layers import block_params
-from evlm.numerics import Graph, Tensor, derive_seed, seeded_init
+from evlm.numerics import Graph, Tensor, derive_seed
 from evlm.vision import FFN_MULT, EncoderConfig, VisionEncoder, assign_taps_to_xattn, tap_schedule
 
 
@@ -90,11 +90,11 @@ def test_assign_rejects_fewer_layers_than_taps():
 
 def encoder_params(cfg, seed):
     """Every block's parameters by full name, drawn as FusedModel draws them."""
-    init, d = seeded_init(seed), cfg.feature_dim
+    d = cfg.feature_dim
     return {
-        f"vision.block{i}.{name}": t
+        f"vision.block{i}.{name}": init.draw(seed)
         for i in range(cfg.layers)
-        for name, t in block_params(init, f"vision.block{i}.", d, FFN_MULT * d).items()
+        for name, init in block_params(f"vision.block{i}.", d, FFN_MULT * d).items()
     }
 
 
