@@ -11,7 +11,7 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, ContractViolationError, DimensionError, NonFiniteError, SequenceError
 from .fusion import (
@@ -104,8 +104,9 @@ def parse_flag(text: str) -> bool:
     return value == "1"
 
 
-# keyed by annotation text: the config modules use `from __future__ import annotations`
-_PARSERS = {"int": int, "float": float, "str": str, "bool": parse_flag}
+# keyed by annotation text: the config modules use `from __future__ import annotations`;
+# each parser reads past surrounding whitespace, as int() and float() do
+_PARSERS = {"int": int, "float": float, "str": str.strip, "bool": parse_flag}
 
 
 def config_fields(cls: type) -> dict[str, Callable[[str], Any]]:
@@ -580,18 +581,20 @@ def _floats_from_hex(text: str) -> list[float]:
     return packed.tolist()
 
 
-def _layout(cfg: ModelConfig, meta: Mapping[str, str]) -> list[tuple[str, ParamSpec | None]]:
+def _layout(
+    cfg: ModelConfig, meta: Mapping[str, str], specs: Iterable[ParamSpec]
+) -> list[tuple[str, ParamSpec | None]]:
     """Every line save_checkpoint writes before `end` but the data lines, in
-    file order, each with the parameter table's row for the data line that
-    follows it (None for a line with no data after it). Meta that would not
-    read back as written raises ConfigError, so a checkpoint loads only if it
-    saves."""
+    file order, each with the row of specs, cfg's parameter table, for the
+    data line that follows it (None for a line with no data after it). Meta
+    that would not read back as written raises ConfigError, so a checkpoint
+    loads only if it saves."""
     for key, value in meta.items():
         if "=" in key or "".join((key + value).splitlines()) != key + value:
             raise ConfigError(f"meta {key!r}={value!r} would not read back: no '=' in a key, no line breaks")
     head = [CHECKPOINT_MAGIC, *(f"config {k}={v}" for k, v in _config_pairs(cfg))]
     head += (f"meta {k}={v}" for k, v in sorted(meta.items()))
-    params = [(f"param {s.group} {s.name} {' '.join(map(str, s.shape))}", s) for s in param_specs(cfg)]
+    params = [(f"param {s.group} {s.name} {' '.join(map(str, s.shape))}", s) for s in specs]
     return [(line, None) for line in head] + sorted(params, key=lambda pair: pair[1].name)
 
 
@@ -620,7 +623,7 @@ def save_checkpoint(model: FusedModel, path: str) -> None:
     path, so a write that fails partway leaves any previous checkpoint at
     path as it was and removes the temporary file."""
     lines = []
-    for line, spec in _layout(model.cfg, model.meta):
+    for line, spec in _layout(model.cfg, model.meta, param_specs(model.cfg)):
         lines += [line] if spec is None else [line, _hex_floats(model.params[spec.name].data)]
     lines.append("end")
     body = ("\n".join(lines) + "\n").encode()
@@ -699,19 +702,20 @@ def load_checkpoint(path: str) -> FusedModel:
         raise ConfigError(f"checkpoint config is missing {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad checkpoint config value: {exc}") from exc
-    room, floats = sum(map(len, lines[i:])) // HEX_PER_FLOAT, 0
-    for rows, spec in enumerate(param_specs(cfg), 1):
+    room, floats, specs = sum(map(len, lines[i:])) // HEX_PER_FLOAT, 0, []
+    for spec in param_specs(cfg):  # kept for the layout check, unless the sizes stop it
+        specs.append(spec)
         floats += math.prod(spec.shape)
-        if floats > room and rows > len(lines):  # past the data's floats and the file's lines: stop
+        if floats > room and len(specs) > len(lines):  # past the data's floats and the file's lines: stop
             break
     if floats > room:
-        implied = f"at least {floats}" if rows > len(lines) else floats
+        implied = f"at least {floats}" if len(specs) > len(lines) else floats
         raise ConfigError(f"checkpoint config implies {implied} parameter floats; its data can hold at most {room}")
     if lines[-1] != "end":
         raise ConfigError(f"{path} does not end with a single 'end' line")
     data: list[tuple[ParamSpec, str]] = []  # (table row, its data line)
     i = 0
-    for want, spec in [*_layout(cfg, meta), ("end", None), (None, None)]:  # None: no line, past the end
+    for want, spec in [*_layout(cfg, meta, specs), ("end", None), (None, None)]:  # None: no line, past the end
         got = lines[i] if i < len(lines) else None
         if got != want:
             raise _line_error(i, got, want)

@@ -6,11 +6,15 @@ each node exactly once. Graphs are single-threaded and cheap; build a fresh
 one per forward/backward episode. Parameters are plain Tensors shared across
 graphs. A graph runs backward once: the sweep frees each op's closure and
 gradient as it passes, so afterwards the graph keeps leaf gradients only.
+What closures keep of an op result is one float64 array per node, shared by
+every closure that reads it; a leaf's values stay its own list. Leaf
+gradients are packed likewise. Every float is unchanged.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from itertools import accumulate, chain, product
 from math import isfinite
 from operator import add as _opadd, mul as _opmul
@@ -115,22 +119,44 @@ def transpose_data(d: list[float], m: int, n: int) -> list[float]:
     return out
 
 
+# What a backward closure keeps of a node's values: a leaf's own list, or one
+# array("d") copy of an op result (8 bytes a value, where a list of floats
+# takes 32), which every closure reading that node shares.
+Saved = list[float] | array
+
+
 class Node:
     """A tensor value bound to its position in a graph's tape."""
 
-    __slots__ = ("t", "idx")
+    __slots__ = ("t", "idx", "saved")
 
-    def __init__(self, t: Tensor, idx: int):
+    def __init__(self, t: Tensor, idx: int, saved: Saved | None):
         self.t = t
         self.idx = idx
+        self.saved = saved
+
+
+def _keep(n: Node) -> Saved:
+    """n's values as a closure keeps them, packed on the first request."""
+    if n.saved is None:
+        n.saved = array("d", n.t.data)
+    return n.saved
+
+
+def _unpack(v: Saved) -> list[float]:
+    """Kept values as a list, for a closure to index and slice when it runs
+    (one that only iterates them reads the array as it is)."""
+    return v if isinstance(v, list) else v.tolist()
 
 
 # Backward closures receive (grad_out_data, accumulate) where accumulate
 # adds a gradient contribution to the parent at a tape index. A closure holds
 # its parents' indices and only the data its own backward reads, never a Node,
-# so forward values no backward reads are freed with their nodes. accumulate
-# keeps a first contribution as is and adds later ones into a new list, which
-# is sound only because no closure writes into a list it received or passed on.
+# so forward values no backward reads are freed with their nodes; what it reads
+# it keeps packed (see Saved). accumulate keeps an op result's first
+# contribution as is and packs a leaf's, which lives to the end of the sweep; it
+# adds later ones into a new array("d"). Keeping a list as is is sound only
+# because no closure writes into a list it received or passed on.
 BackwardFn = Callable[[list[float], Callable[[int, list[float]], None]], None]
 
 
@@ -143,13 +169,13 @@ class Graph:
 
     def __init__(self) -> None:
         self._bwd: list[BackwardFn | None] = []
-        self._grads: list[list[float] | None] | None = None
+        self._grads: list[Saved | None] | None = None
 
     # -- tape plumbing ----------------------------------------------------
 
     def _emit(self, t: Tensor, bwd: BackwardFn | None) -> Node:
         self._bwd.append(bwd)
-        return Node(t, len(self._bwd) - 1)
+        return Node(t, len(self._bwd) - 1, t.data if bwd is None else None)
 
     def param(self, t: Tensor) -> Node:
         """Register a leaf tensor; its gradient is available after backward."""
@@ -162,12 +188,15 @@ class Graph:
         """Seed d(root)=1 and sweep the tape once in reverse topological order."""
         if root.t.size != 1:
             raise DimensionError("backward root must be a scalar")
-        grads: list[list[float] | None] = [None] * (root.idx + 1)
+        grads: list[Saved | None] = [None] * (root.idx + 1)
         grads[root.idx] = [1.0]
 
         def acc(i: int, delta: list[float]) -> None:
             g = grads[i]
-            grads[i] = delta if g is None else list(map(_opadd, g, delta))
+            if g is not None:
+                grads[i] = array("d", map(_opadd, g, delta))
+            else:
+                grads[i] = array("d", delta) if bwd_fns[i] is None else delta
 
         bwd_fns = self._bwd
         for i in range(root.idx, -1, -1):
@@ -177,7 +206,7 @@ class Graph:
             bwd_fns[i] = _spent
             g, grads[i] = grads[i], None
             if g is not None:
-                fn(g, acc)
+                fn(_unpack(g), acc)
         self._grads = grads
 
     def grad(self, node: Node) -> Tensor:
@@ -204,10 +233,11 @@ class Graph:
         (m, k), (k2, n) = a.t.shape, b.t.shape
         if k != k2:
             raise DimensionError(f"matmul {a.t.shape} @ {b.t.shape}")
-        ai, bi, ad, bd = a.idx, b.idx, a.t.data, b.t.data
-        out = mm_data(ad, m, k, bd, n)
+        ai, bi, ap, bp = a.idx, b.idx, _keep(a), _keep(b)
+        out = mm_data(a.t.data, m, k, b.t.data, n)
 
         def bwd(g: list[float], acc) -> None:
+            ad, bd = _unpack(ap), _unpack(bp)
             acc(ai, mm_abt_data(g, m, n, bd, k))  # dA = G @ B^T
             acc(bi, mm_data(transpose_data(ad, m, k), k, m, g, n))  # dB = A^T @ G
 
@@ -221,9 +251,10 @@ class Graph:
         it to b's gradient, which rounds differently."""
         out = self.matmul(a, b)
         (m, k), n = a.t.shape, b.t.shape[1]
-        ai, bi, ad, bd = a.idx, b.idx, a.t.data, b.t.data
+        ai, bi, ap, bp = a.idx, b.idx, _keep(a), _keep(b)  # the copies matmul kept
 
         def bwd(g: list[float], acc) -> None:
+            ad, bd = _unpack(ap), _unpack(bp)
             acc(ai, mm_abt_data(g, m, n, bd, k))
             for i in range(m - 1, -1, -1):
                 acc(bi, mm_data(ad[i * k : (i + 1) * k], k, 1, g[i * n : (i + 1) * n], n))
@@ -264,8 +295,10 @@ class Graph:
         w = a.t.size // rows
         ai, si, ad, sd = a.idx, s.idx, a.t.data, s.t.data
         out = [sv * x for r, sv in enumerate(sd) for x in ad[r * w : (r + 1) * w]]
+        ap, sp = _keep(a), _keep(s)
 
         def bwd(g: list[float], acc) -> None:
+            ad, sd = _unpack(ap), _unpack(sp)
             acc(ai, [sv * gv for r, sv in enumerate(sd) for gv in g[r * w : (r + 1) * w]])
             acc(si, dots(w, [(g[r * w : (r + 1) * w], ad[r * w : (r + 1) * w]) for r in range(rows)]))
 
@@ -274,16 +307,19 @@ class Graph:
     def tanh(self, a: Node) -> Node:
         ai = a.idx
         out = list(map(math.tanh, a.t.data))
+        yp = array("d", out)
 
         def bwd(g: list[float], acc) -> None:
-            acc(ai, [gv * (1.0 - y * y) for gv, y in zip(g, out)])
+            acc(ai, [gv * (1.0 - y * y) for gv, y in zip(g, yp)])
 
-        return self._out(a.t.shape, out, bwd)
+        node = self._out(a.t.shape, out, bwd)
+        node.saved = yp  # the output's consumers share this copy
+        return node
 
     def gelu(self, a: Node) -> Node:
         """Exact erf-based gelu."""
-        ai, ad = a.idx, a.t.data
-        out = [0.5 * x * (1.0 + math.erf(x * _INV_SQRT2)) for x in ad]
+        ai, ap = a.idx, _keep(a)
+        out = [0.5 * x * (1.0 + math.erf(x * _INV_SQRT2)) for x in a.t.data]
 
         def bwd(g: list[float], acc) -> None:
             acc(
@@ -294,7 +330,7 @@ class Graph:
                         0.5 * (1.0 + math.erf(x * _INV_SQRT2))
                         + x * math.exp(-0.5 * x * x) * _INV_SQRT2PI
                     )
-                    for gv, x in zip(g, ad)
+                    for gv, x in zip(g, ap)
                 ],
             )
 
@@ -363,9 +399,9 @@ class Graph:
         if gain.t.shape != (1, d) or bias.t.shape != (1, d):
             raise DimensionError(f"layer_norm params must be (1,{d})")
         xd, gd, bd = x.t.data, gain.t.data, bias.t.data
-        xi, gi, bi = x.idx, gain.idx, bias.idx
+        xi, gi, bi, gp = x.idx, gain.idx, bias.idx, _keep(gain)
         out: list[float] = []
-        xhat: list[float] = []
+        xhat = array("d")  # packed, as backward keeps it
         inv_sigmas: list[float] = []
         for i in range(m):
             row = xd[i * d : (i + 1) * d]
@@ -378,13 +414,14 @@ class Graph:
             out.extend(h * g + b for h, g, b in zip(hrow, gd, bd))
 
         def bwd(g: list[float], acc) -> None:
+            gd, hs = _unpack(gp), xhat.tolist()
             dgain = [0.0] * d
             dbias = [0.0] * d
             dx: list[float] = []
             for i in range(m):
                 off = i * d
                 grow = g[off : off + d]
-                hrow = xhat[off : off + d]
+                hrow = hs[off : off + d]
                 inv = inv_sigmas[i]
                 gg = [gv * gm for gv, gm in zip(grow, gd)]
                 mean_gg = sum(gg) / d
@@ -420,9 +457,11 @@ class Graph:
             exps = [math.exp(v - top) if ok else 0.0 for v, ok in zip(row, mrow)]
             inv = 1.0 / sum(exps)
             out.extend(e * inv for e in exps)
+        pp = array("d", out)
 
         def bwd(g: list[float], acc) -> None:
             # dL/ds = p * (g - sum(g*p)); masked entries have p == 0.
+            out = pp.tolist()
             grows = [g[i * k : (i + 1) * k] for i in range(q)]
             prows = [out[i * k : (i + 1) * k] for i in range(q)]
             ds: list[float] = []
@@ -430,7 +469,9 @@ class Graph:
                 ds.extend(p * (gv - dot) for p, gv in zip(prow, grow))
             acc(si, ds)
 
-        return self._out((q, k), out, bwd)
+        node = self._out((q, k), out, bwd)
+        node.saved = pp  # p·v keeps this copy too
+        return node
 
     def cross_entropy(self, logits: Node, targets: Sequence[int], loss_mask: Sequence[bool]) -> Node:
         """Mean NLL over unmasked positions; log-sum-exp stabilized."""
@@ -445,7 +486,7 @@ class Graph:
         if not active:
             raise ContractViolationError("all positions masked in cross_entropy")
         li, ld = logits.idx, logits.t.data
-        probs_cache: dict[int, list[float]] = {}
+        probs = array("d")  # the active rows' probabilities, packed
         total = 0.0
         for i in active:
             row = ld[i * v : (i + 1) * v]
@@ -453,18 +494,17 @@ class Graph:
             exps = [math.exp(x - top) for x in row]
             z = sum(exps)
             total += math.log(z) + top - row[targets[i]]
-            probs_cache[i] = [e / z for e in exps]
+            probs.extend([e / z for e in exps])
         n_active = len(active)
         out = [total / n_active]
 
         def bwd(g: list[float], acc) -> None:
             scale = g[0] / n_active
             dl = [0.0] * (t * v)
-            for i in active:
+            ps = probs.tolist()
+            for r, i in enumerate(active):
                 off = i * v
-                probs = probs_cache[i]
-                for j in range(v):
-                    dl[off + j] = probs[j] * scale
+                dl[off : off + v] = [p * scale for p in ps[r * v : (r + 1) * v]]
                 dl[off + targets[i]] -= scale
             acc(li, dl)
 

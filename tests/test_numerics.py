@@ -616,6 +616,49 @@ def test_backward_accumulates_shared_parents():
     assert abs(g.grad(n).item() - 7.0) < 1e-12
 
 
+def closure_cells(g, node):
+    """What the backward closure of an op result holds."""
+    return [c.cell_contents for c in g._bwd[node.idx].__closure__]
+
+
+def test_consumers_of_an_op_result_keep_one_packed_copy_of_it():
+    rng = random.Random(8)
+    g = Graph()
+    x = g.param(Tensor((3, 4), sum(rand_matrix(rng, 3, 4), [])))
+    ws = [g.param(Tensor((4, 2), sum(rand_matrix(rng, 4, 2), []))) for _ in range(3)]
+    h = g.gelu(x)  # one op result feeding three matmuls
+    cells = [closure_cells(g, g.matmul(h, w)) for w in ws]
+    packed = [[v for v in held if isinstance(v, array)] for held in cells]
+    assert all(len(p) == 1 and p[0] is packed[0][0] for p in packed)
+    assert packed[0][0].tobytes() == array("d", h.t.data).tobytes()
+    for held, w in zip(cells, ws):  # a parameter's values stay its own list
+        assert any(v is w.t.data for v in held)
+
+
+def test_packed_gradient_sums_match_list_sums_bit_for_bit():
+    # p reaches the loss four ways; each contribution holds a -0.0 at p's zero
+    # entry, and so does their sum, which a sign lost in packing would flip
+    g = Graph()
+    p = g.param(Tensor((1, 4), [0.5, -1.0, 0.0, 2.0]))
+    ys = [g.scale(p, c) for c in (-2.0, -0.0, -0.25, -3.0)]
+    s = ys[0]
+    for y in ys[1:]:
+        s = g.add(s, y)
+    loss = dot(g, s, g.scale(s, 0.5))
+    seen = []  # every contribution to p, in the order backward adds them
+
+    def watched(fn):
+        return lambda grad, acc: fn(grad, lambda j, d: (j == p.idx and seen.append(list(d)), acc(j, d)))
+
+    g._bwd = [fn and watched(fn) for fn in g._bwd]
+    g.backward(loss)
+    want = seen[0]
+    for d in seen[1:]:
+        want = [a + b for a, b in zip(want, d)]
+    assert len(seen) == 4 and all(math.copysign(1.0, d[2]) < 0 for d in [*seen, want])
+    assert array("d", g.grad(p).data).tobytes() == array("d", want).tobytes()
+
+
 def leaf_and_ops_graph():
     """x, an unreached leaf, y = 3x, an op backward never reaches, and the
     loss dot(y, y), whose gradient for x is 18x."""
