@@ -153,10 +153,11 @@ def _unpack(v: Saved) -> list[float]:
 # adds a gradient contribution to the parent at a tape index. A closure holds
 # its parents' indices and only the data its own backward reads, never a Node,
 # so forward values no backward reads are freed with their nodes; what it reads
-# it keeps packed (see Saved). accumulate keeps an op result's first
-# contribution as is and packs a leaf's, which lives to the end of the sweep; it
-# adds later ones into a new array("d"). Keeping a list as is is sound only
-# because no closure writes into a list it received or passed on.
+# it keeps packed (see Saved). accumulate keeps a first contribution as is and
+# adds later ones into a new list, which is sound only because no closure writes
+# into a list it received or passed on. A leaf's gradient lives to the end of
+# the sweep, so backward packs it each time a closure that added into it returns
+# (a closure that adds many times, as matmul_rows does, adds into a list).
 BackwardFn = Callable[[list[float], Callable[[int, list[float]], None]], None]
 
 
@@ -190,13 +191,13 @@ class Graph:
             raise DimensionError("backward root must be a scalar")
         grads: list[Saved | None] = [None] * (root.idx + 1)
         grads[root.idx] = [1.0]
+        leaves: set[int] = set()  # leaves the running closure adds into
 
         def acc(i: int, delta: list[float]) -> None:
             g = grads[i]
-            if g is not None:
-                grads[i] = array("d", map(_opadd, g, delta))
-            else:
-                grads[i] = array("d", delta) if bwd_fns[i] is None else delta
+            grads[i] = delta if g is None else list(map(_opadd, g, delta))
+            if bwd_fns[i] is None:
+                leaves.add(i)
 
         bwd_fns = self._bwd
         for i in range(root.idx, -1, -1):
@@ -207,6 +208,9 @@ class Graph:
             g, grads[i] = grads[i], None
             if g is not None:
                 fn(_unpack(g), acc)
+                for j in leaves:
+                    grads[j] = array("d", grads[j])
+                leaves.clear()
         self._grads = grads
 
     def grad(self, node: Node) -> Tensor:
