@@ -1566,7 +1566,7 @@ def test_closures_hold_no_node_and_backward_keeps_leaf_gradients_only(stage, moe
 def test_backward_frees_the_forward_tape_as_it_sweeps():
     # a tape that keeps every node's gradient and every forward value to the
     # end of backward rises by 1.9x the forward's allocation here (535 KB);
-    # this one by 0.16x (84 KB)
+    # this one by 0.16x (85 KB)
     tracemalloc.start()
     try:
         g, loss = smoke_loss("pretrain_phase1")
